@@ -58,7 +58,7 @@ def main() -> None:
         backend = FaaSCluster(profiles, n_nodes=nodes,
                               node_memory_mb=8_192.0, cores_per_node=4,
                               autoscaler=policy)
-        summary = summarize(replay(load, backend).records)
+        summary = summarize(replay(load, backend).columns)
         hours = (node_hours(policy.events, horizon, nodes)
                  if policy else nodes * horizon / 3600.0)
         results[label] = (summary, hours, len(backend.nodes))

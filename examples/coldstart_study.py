@@ -40,7 +40,7 @@ def run_policy(trace, profiles, policy_factory):
         keepalive=policy_factory(),
     )
     result = replay(trace, backend)
-    return summarize(result.records)
+    return summarize(result.columns)
 
 
 def main() -> None:

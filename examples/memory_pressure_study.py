@@ -46,7 +46,7 @@ def main() -> None:
                 keepalive=FixedKeepAlive(ttl), track_memory=True,
             )
             result = replay(load, backend)
-            s = summarize(result.records)
+            s = summarize(result.columns)
             util = memory_utilization(backend.memory_samples, node_mb)
             print(f"{node_mb:>8.0f}M {ttl:>6.0f}s "
                   f"{100 * s['cold_fraction']:>6.2f}% "

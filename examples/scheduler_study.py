@@ -49,7 +49,7 @@ def main() -> None:
             profiles, n_nodes=8, node_memory_mb=8_192.0,
             scheduler=factory(),
         )
-        s = summarize(replay(load, backend).records)
+        s = summarize(replay(load, backend).columns)
         lat = s["latency_ms"]
         print(f"{name:<14} {100 * s['cold_fraction']:>6.2f}% "
               f"{lat['p50']:>9.1f} {lat['p99']:>10.1f} "

@@ -343,8 +343,8 @@ def _cmd_replay_service(args, spec, registry, retry) -> int:
         print(f"  dispatch lag        : mean {lag['mean']:.2f} ms, "
               f"p99 {lag['p99']:.2f} ms, "
               f"late {lag['late_fraction']:.2%}")
-    if result.records:
-        summary = summarize(result.records)
+    if len(result.columns):
+        summary = summarize(result.columns)
         lat = summary["latency_ms"]
         print(f"  latency p50/p90/p99 : {lat['p50']:.1f} / "
               f"{lat['p90']:.1f} / {lat['p99']:.1f} ms")
@@ -454,11 +454,11 @@ def _cmd_replay(args) -> int:
 
         record_outcome_metrics(registry, result, breaker=breaker,
                                horizon_s=trace.duration_s)
-    if not result.records:
+    if not len(result.columns):
         print("no invocations reached the backend (all requests shed, "
               "or the replay was already complete at resume)")
     else:
-        summary = summarize(result.records)
+        summary = summarize(result.columns)
         print(f"replayed {summary['n_invocations']} invocations on "
               f"{args.nodes} nodes ({args.scheduler} / {args.keepalive})")
         print(f"  cold-start fraction : {summary['cold_fraction']:.4f}")

@@ -21,16 +21,16 @@ Two execution paths share one entry point:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
+from typing import Any, Protocol
 
 import numpy as np
 
 from repro.loadgen.requests import RequestTrace
-from repro.platform.simulator_vec import iter_trace_slabs
+from repro.platform.simulator_vec import RecordColumns, iter_trace_slabs
 from repro.loadgen.resilience import (
     OUTCOME_CODES,
     OUTCOMES,
@@ -114,7 +114,11 @@ def _record_replay_telemetry(reg, trace: RequestTrace,
 
 
 class Backend(Protocol):
-    """What the replayer needs from a FaaS system."""
+    """What the replayer needs from a FaaS system.
+
+    A backend class may also define ``drain_columns() -> RecordColumns``;
+    :func:`drain_output` then prefers it over ``drain()``.
+    """
 
     def invoke(self, timestamp_s: float, workload_id: str) -> None:
         """Submit one request arriving at ``timestamp_s``."""
@@ -123,32 +127,107 @@ class Backend(Protocol):
         """Finish all outstanding work and return per-request records."""
 
 
-@dataclass
-class ReplayResult:
+def drain_output(backend: Backend) -> RecordColumns | list:
+    """Finish ``backend``'s outstanding work and return its records.
+
+    Columns when the backend's *type* defines ``drain_columns`` (the
+    array simulator), so no per-request record object is built; the
+    record list of ``drain()`` otherwise.  Looked up on the type, like
+    ``invoke_many``: a decorator that only forwards attribute access
+    (e.g. ``FaultyBackend.__getattr__``) keeps its own ``drain()``
+    post-processing.
+    """
+    drain_columns = getattr(type(backend), "drain_columns", None)
+    if drain_columns is not None:
+        return drain_columns(backend)
+    return backend.drain()
+
+
+def _output_kwargs(output: RecordColumns | list) -> dict[str, Any]:
+    """``columns=`` or ``records=`` for a :class:`ReplayResult`, by the
+    type of a backend's drained output."""
+    key = "columns" if isinstance(output, RecordColumns) else "records"
+    return {key: output}
+
+
+class RecordViews:
+    """The ``records`` and ``columns`` views of a run's output.
+
+    ``_output`` is what the backend returned: a :class:`RecordColumns`
+    or a record list.  Each view is derived from it on first read and
+    cached, so a columnar run builds no ``InvocationRecord`` until
+    ``records`` is read, and ``records`` stays one stable list.
+    """
+
+    _output: RecordColumns | list
+
+    @functools.cached_property
+    def records(self) -> list:
+        """Per-request records as a list (materialised on first read)."""
+        out = self._output
+        return out.to_records() if isinstance(out, RecordColumns) else out
+
+    @functools.cached_property
+    def columns(self) -> RecordColumns:
+        """Per-request records as columns (converted on first read when
+        the backend returned a list of ``InvocationRecord``)."""
+        out = self._output
+        if isinstance(out, RecordColumns):
+            return out
+        return RecordColumns.from_records(out)
+
+
+class ReplayResult(RecordViews):
     """Outcome of one replay run.
 
-    ``outcomes`` and ``attempts`` are populated only by the resilient
-    path: one outcome code (index into
+    Pass the backend's output as exactly one of ``records`` (a list) or
+    ``columns`` (a :class:`RecordColumns`); both stay readable as
+    :class:`RecordViews`.  ``outcomes`` and ``attempts`` are populated
+    only by the resilient path: one outcome code (index into
     :data:`~repro.loadgen.resilience.OUTCOMES`) and one attempt count per
     trace request, in trace order.
     """
 
-    n_requests: int
-    wall_clock_s: float
-    records: list
-    outcomes: np.ndarray | None = field(default=None, repr=False)
-    attempts: np.ndarray | None = field(default=None, repr=False)
+    def __init__(
+        self,
+        n_requests: int,
+        wall_clock_s: float,
+        records: list | None = None,
+        outcomes: np.ndarray | None = None,
+        attempts: np.ndarray | None = None,
+        *,
+        columns: RecordColumns | None = None,
+    ) -> None:
+        if (records is None) == (columns is None):
+            raise TypeError("pass exactly one of records / columns")
+        self.n_requests = n_requests
+        self.wall_clock_s = wall_clock_s
+        self._output = columns if columns is not None else records
+        self.outcomes = outcomes
+        self.attempts = attempts
+
+    def __repr__(self) -> str:
+        return (f"ReplayResult(n_requests={self.n_requests}, "
+                f"wall_clock_s={self.wall_clock_s})")
 
     def latencies_ms(self) -> np.ndarray:
         """End-to-end latency per request, for records exposing one."""
-        vals = [r.latency_ms for r in self.records if hasattr(r, "latency_ms")]
-        if not vals:
+        if isinstance(self._output, RecordColumns):
+            vals = self._output.latency_ms
+        else:
+            vals = np.array([r.latency_ms for r in self._output
+                             if hasattr(r, "latency_ms")])
+        if not vals.size:
             raise ValueError("backend records carry no latencies")
-        return np.array(vals)
+        return vals
 
     def cold_start_fraction(self) -> float:
-        flags = [r.cold for r in self.records if hasattr(r, "cold")]
-        if not flags:
+        if isinstance(self._output, RecordColumns):
+            flags = self._output.cold
+        else:
+            flags = np.array([r.cold for r in self._output
+                              if hasattr(r, "cold")])
+        if not flags.size:
             raise ValueError("backend records carry no cold-start flags")
         return float(np.mean(flags))
 
@@ -305,11 +384,11 @@ def replay(
             drift.observe_many(trace.runtimes_ms, trace.timestamps_s)
     if drift is not None:
         drift.flush()
-    records = backend.drain()
+    output = drain_output(backend)
     result = ReplayResult(
         n_requests=trace.n_requests,
         wall_clock_s=time.perf_counter() - t_start,  # repro: allow-wall-clock
-        records=records,
+        **_output_kwargs(output),
     )
     reg = _telemetry.active()
     if reg is not None:
@@ -412,11 +491,11 @@ def _replay_resilient(
                         attempts=attempts, trace_fingerprint=fingerprint)
     if drift is not None:
         drift.flush()
-    records = backend.drain()
+    output = drain_output(backend)
     return ReplayResult(
         n_requests=n,
         wall_clock_s=time.perf_counter() - t_start,  # repro: allow-wall-clock
-        records=records,
         outcomes=outcomes,
         attempts=attempts,
+        **_output_kwargs(output),
     )

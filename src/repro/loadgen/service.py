@@ -51,13 +51,20 @@ import signal
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.loadgen.replay import Backend, ReplayResult, _record_replay_telemetry
+from repro.loadgen.replay import (
+    Backend,
+    RecordViews,
+    ReplayResult,
+    _output_kwargs,
+    _record_replay_telemetry,
+    drain_output,
+)
 from repro.loadgen.requests import RequestTrace
 from repro.loadgen.resilience import (
     OUTCOME_CODES,
@@ -68,6 +75,7 @@ from repro.loadgen.resilience import (
     save_checkpoint,
 )
 from repro.parallel import DEFAULT_MAX_SHARDS, plan_shards
+from repro.platform.simulator_vec import RecordColumns
 from repro.telemetry import registry as _telemetry
 
 __all__ = [
@@ -292,17 +300,25 @@ class CoverageReport:
 
 
 @dataclass
-class ServiceResult:
-    """Everything one service run produced, reconciled in shard order."""
+class ServiceResult(RecordViews):
+    """Everything one service run produced, reconciled in shard order.
+
+    ``output`` is the merged record output: one :class:`RecordColumns`
+    when every shard's backend drained columns, else a record list;
+    read it through the ``columns`` / ``records`` views.
+    """
 
     n_requests: int
     wall_clock_s: float
     outcomes: np.ndarray = field(repr=False)
     attempts: np.ndarray = field(repr=False)
     lag_ms: np.ndarray = field(repr=False)
-    records: list = field(repr=False)
+    output: InitVar[RecordColumns | list]
     coverage: CoverageReport = field(repr=False)
     shard_bounds: list[tuple[int, int]] = field(repr=False)
+
+    def __post_init__(self, output: RecordColumns | list) -> None:
+        self._output = output
 
     def outcome_counts(self) -> dict[str, int]:
         counts = np.bincount(self.outcomes, minlength=len(OUTCOMES))
@@ -315,9 +331,9 @@ class ServiceResult:
         return ReplayResult(
             n_requests=self.n_requests,
             wall_clock_s=self.wall_clock_s,
-            records=self.records,
             outcomes=self.outcomes,
             attempts=self.attempts,
+            **_output_kwargs(self._output),
         )
 
 
@@ -534,7 +550,7 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
     save_checkpoint(ckpt, offset=n_shard, outcomes=outcomes,
                     attempts=attempts, trace_fingerprint=fingerprint,
                     shard=shard_fp)
-    records = backend.drain() if work.collect_records else []
+    records = drain_output(backend) if work.collect_records else []
     return {
         "shard": shard,
         "outcomes": outcomes,
@@ -779,7 +795,7 @@ def _reconcile(trace: RequestTrace, bounds: list[tuple[int, int]],
     outcomes = np.full(n, UNACCOUNTED, dtype=np.uint8)
     attempts = np.zeros(n, dtype=np.int32)
     lag_ms = np.zeros(n, dtype=np.float64)
-    records: list = []
+    parts: list[RecordColumns | list] = []
     per_shard: list[dict[str, int]] = []
     shed_overload = 0
     shed_breaker = 0
@@ -793,7 +809,7 @@ def _reconcile(trace: RequestTrace, bounds: list[tuple[int, int]],
             outcomes[lo:hi] = payload["outcomes"]
             attempts[lo:hi] = payload["attempts"]
             lag_ms[lo:hi] = payload["lag_ms"]
-            records.extend(payload["records"])
+            parts.append(payload["records"])
             shed_overload += payload["shed_overload"]
             shed_breaker += payload["shed_breaker"]
         per_shard.append({
@@ -801,6 +817,13 @@ def _reconcile(trace: RequestTrace, bounds: list[tuple[int, int]],
             "n_requests": hi - lo,
             "resumed": int(payload["resumed"]) if payload else 0,
         })
+    output: RecordColumns | list
+    if all(isinstance(part, RecordColumns) for part in parts):
+        output = RecordColumns.concat(parts)
+    else:  # some backend drains a plain record list: merge as a list
+        output = [rec for part in parts
+                  for rec in (part.to_records()
+                              if isinstance(part, RecordColumns) else part)]
     unaccounted = np.flatnonzero(outcomes == UNACCOUNTED)
     accounted = partition_ok and unaccounted.size == 0
     counts = np.bincount(outcomes[outcomes != UNACCOUNTED],
@@ -842,7 +865,7 @@ def _reconcile(trace: RequestTrace, bounds: list[tuple[int, int]],
         outcomes=outcomes,
         attempts=attempts,
         lag_ms=lag_ms,
-        records=records,
+        output=output,
         coverage=coverage,
         shard_bounds=list(bounds),
     )

@@ -68,18 +68,37 @@ class InvocationRecord:
         return (self.end_s - self.start_s) * 1e3
 
 
-def summarize(records: list[InvocationRecord]) -> dict:
-    """Aggregate a run's records into the usual serving metrics."""
-    if not records:
+def summarize(records: RecordColumns | list[InvocationRecord]) -> dict:
+    """Aggregate a run's records into the usual serving metrics.
+
+    ``records`` is either a
+    :class:`~repro.platform.simulator_vec.RecordColumns` (what
+    ``drain_columns()`` and ``ReplayResult.columns`` hold) or a
+    ``list[InvocationRecord]``.  Both feed the same NumPy reduction over
+    the same float64 arrays -- elementwise column arithmetic is bitwise
+    the per-record arithmetic -- so the summary is identical, byte for
+    byte, whichever form a run carries.
+    """
+    from repro.platform.simulator_vec import RecordColumns
+
+    n = len(records)
+    if not n:
         raise ValueError("no records to summarise")
-    lat = np.array([r.latency_ms for r in records])
-    queue = np.array([r.queueing_ms for r in records])
-    cold = np.array([r.cold for r in records])
-    nodes = np.array([r.node for r in records])
-    ok = np.array([getattr(r, "ok", True) for r in records])
+    if isinstance(records, RecordColumns):
+        lat = records.latency_ms
+        queue = records.queueing_ms
+        cold = records.cold
+        ok = records.ok
+        nodes = records.node
+    else:
+        lat = np.array([r.latency_ms for r in records])
+        queue = np.array([r.queueing_ms for r in records])
+        cold = np.array([r.cold for r in records])
+        ok = np.array([getattr(r, "ok", True) for r in records])
+        nodes = np.array([r.node for r in records])
     node_ids, node_counts = np.unique(nodes, return_counts=True)
     return {
-        "n_invocations": len(records),
+        "n_invocations": n,
         "ok_fraction": float(ok.mean()),
         "cold_fraction": float(cold.mean()),
         "latency_ms": {
@@ -97,39 +116,8 @@ def summarize(records: list[InvocationRecord]) -> dict:
 
 
 def summarize_columns(columns: RecordColumns) -> dict:
-    """Columnar :func:`summarize`: identical output, no record objects.
-
-    Takes the :class:`~repro.platform.simulator_vec.RecordColumns` a
-    cluster's ``drain_columns()`` / ``record_columns()`` returns and
-    computes the same summary dict as :func:`summarize` does from the
-    materialised record list, byte for byte -- every intermediate is the
-    same float64 array the record-by-record path would build, so the
-    percentile and mean reductions see identical inputs.
-    """
-    n = len(columns)
-    if not n:
-        raise ValueError("no records to summarise")
-    lat = columns.latency_ms
-    queue = columns.queueing_ms
-    cold = columns.cold
-    ok = columns.ok
-    node_ids, node_counts = np.unique(columns.node, return_counts=True)
-    return {
-        "n_invocations": n,
-        "ok_fraction": float(ok.mean()),
-        "cold_fraction": float(cold.mean()),
-        "latency_ms": {
-            "p50": float(np.percentile(lat, 50)),
-            "p90": float(np.percentile(lat, 90)),
-            "p99": float(np.percentile(lat, 99)),
-            "mean": float(lat.mean()),
-        },
-        "queueing_ms_mean": float(queue.mean()),
-        "per_node_invocations": dict(
-            zip(node_ids.tolist(), node_counts.tolist())
-        ),
-        "node_imbalance": float(node_counts.max() / node_counts.mean()),
-    }
+    """:func:`summarize` of a :class:`RecordColumns` (kept as an alias)."""
+    return summarize(columns)
 
 
 def per_workload_cold_rates(

@@ -11,7 +11,7 @@ struct-of-arrays storage:
   arrival/start/end, cold, ok).  ``InvocationRecord`` objects are
   materialised lazily and only on demand; :meth:`record_columns` /
   :meth:`drain_columns` expose the columns directly so metrics can be
-  NumPy reductions (:func:`repro.platform.metrics.summarize_columns`)
+  NumPy reductions (:func:`repro.platform.metrics.summarize`)
   with no per-record Python at all.
 - **Batched admission**: :meth:`invoke_many` takes a whole
   timestamp-ordered slab of requests.  When the configuration provably
@@ -200,29 +200,84 @@ class RecordColumns:
 
     def to_records(self) -> list[InvocationRecord]:
         """Materialise fresh ``InvocationRecord`` objects (one per row)."""
-        words = self.vocabulary
-        return [
-            InvocationRecord(
-                workload_id=words[c],
-                node=nd,
-                arrival_s=a,
-                start_s=s,
-                end_s=e,
-                cold=co,
-                ok=o,
-                preemptions=p,
+        return _materialize(
+            self.vocabulary, self.workload_codes, self.node, self.arrival_s,
+            self.start_s, self.end_s, self.cold, self.ok, self.preemptions,
+        )
+
+    @classmethod
+    def from_records(cls, records: Sequence[InvocationRecord]
+                     ) -> RecordColumns:
+        """Columns of a record list (the inverse of :meth:`to_records`),
+        for backends that only return ``InvocationRecord`` objects."""
+        vocab: dict[str, int] = {}
+        codes = [vocab.setdefault(r.workload_id, len(vocab))
+                 for r in records]
+        return cls(
+            workload_codes=np.array(codes, np.int32),
+            vocabulary=tuple(vocab),
+            node=np.array([r.node for r in records], np.int32),
+            arrival_s=np.array([r.arrival_s for r in records], np.float64),
+            start_s=np.array([r.start_s for r in records], np.float64),
+            end_s=np.array([r.end_s for r in records], np.float64),
+            cold=np.array([r.cold for r in records], np.bool_),
+            ok=np.array([r.ok for r in records], np.bool_),
+            preemptions=np.array([r.preemptions for r in records], np.int32),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence[RecordColumns]) -> RecordColumns:
+        """Rows of ``parts`` one after another, as one set of columns.
+
+        Each part codes workloads against its own first-appearance
+        vocabulary; the result's vocabulary is the first-appearance
+        union in part order, and every part's codes are remapped into
+        it, so ``concat(parts).to_records()`` equals the concatenated
+        ``part.to_records()`` lists.
+        """
+        if not parts:
+            return cls.from_records([])
+        vocab: dict[str, int] = {}
+        codes: list[npt.NDArray[np.int32]] = []
+        for part in parts:
+            remap = np.array(
+                [vocab.setdefault(w, len(vocab)) for w in part.vocabulary],
+                np.int32,
             )
-            for c, nd, a, s, e, co, o, p in zip(
-                self.workload_codes.tolist(),
-                self.node.tolist(),
-                self.arrival_s.tolist(),
-                self.start_s.tolist(),
-                self.end_s.tolist(),
-                self.cold.tolist(),
-                self.ok.tolist(),
-                self.preemptions.tolist(),
-            )
-        ]
+            codes.append(remap[part.workload_codes])
+        return cls(
+            workload_codes=np.concatenate(codes),
+            vocabulary=tuple(vocab),
+            node=np.concatenate([p.node for p in parts]),
+            arrival_s=np.concatenate([p.arrival_s for p in parts]),
+            start_s=np.concatenate([p.start_s for p in parts]),
+            end_s=np.concatenate([p.end_s for p in parts]),
+            cold=np.concatenate([p.cold for p in parts]),
+            ok=np.concatenate([p.ok for p in parts]),
+            preemptions=np.concatenate([p.preemptions for p in parts]),
+        )
+
+
+def _materialize(
+    words: Sequence[str],
+    code: npt.NDArray[np.int32],
+    node: npt.NDArray[np.int32],
+    arrival: npt.NDArray[np.float64],
+    start: npt.NDArray[np.float64],
+    end: npt.NDArray[np.float64],
+    cold: npt.NDArray[np.bool_],
+    ok: npt.NDArray[np.bool_],
+    preempt: npt.NDArray[np.int32],
+) -> list[InvocationRecord]:
+    """``InvocationRecord`` objects for aligned record columns: one
+    batched ``tolist()`` per column, then plain Python values per row."""
+    return [
+        InvocationRecord(words[c], nd, a, s, e, co, o, p)
+        for c, nd, a, s, e, co, o, p in zip(
+            code.tolist(), node.tolist(), arrival.tolist(), start.tolist(),
+            end.tolist(), cold.tolist(), ok.tolist(), preempt.tolist(),
+        )
+    ]
 
 
 class _RecordStore:
@@ -632,25 +687,13 @@ class FaaSCluster:
         """
         store = self._store
         out = self._records_list
-        n = store.n
-        if len(out) < n:
-            words = store.words
-            code, node = store.code, store.node
-            arrival, start, end = store.arrival, store.start, store.end
-            cold, ok, preempt = store.cold, store.ok, store.preempt
-            for i in range(len(out), n):
-                out.append(
-                    InvocationRecord(
-                        workload_id=words[code[i]],
-                        node=int(node[i]),
-                        arrival_s=float(arrival[i]),
-                        start_s=float(start[i]),
-                        end_s=float(end[i]),
-                        cold=bool(cold[i]),
-                        ok=bool(ok[i]),
-                        preemptions=int(preempt[i]),
-                    )
-                )
+        k, n = len(out), store.n
+        if k < n:
+            out.extend(_materialize(
+                store.words, store.code[k:n], store.node[k:n],
+                store.arrival[k:n], store.start[k:n], store.end[k:n],
+                store.cold[k:n], store.ok[k:n], store.preempt[k:n],
+            ))
         return out
 
     def record_columns(self) -> RecordColumns:
