@@ -77,7 +77,9 @@ class LeastLoadedScheduler:
     def pick(self, nodes: Sequence[Node], workload_id: str) -> int:
         del workload_id
         loads = [n.busy_count for n in nodes]
-        return int(np.argmin(loads))
+        # list.index returns the first minimum: np.argmin's tie rule,
+        # without converting the list to an array per request
+        return loads.index(min(loads))
 
 
 class PowerOfTwoScheduler:

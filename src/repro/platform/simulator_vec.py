@@ -40,7 +40,8 @@ The bulk path preserves this down to IEEE float accumulation order
 (``used_memory_mb`` is folded with ``cumsum`` in the reference engine's
 exact event order) and RNG stream position (batched scheduler draws are
 stream-equal to sequential ones; a speculative batch that must fall back
-rewinds the scheduler RNG via its ``snapshot``/``restore`` protocol).
+hands its ``RandomScheduler`` picks to the scalar loop, or rewinds any
+other scheduler via its ``snapshot``/``restore`` protocol).
 See docs/SIMULATOR.md for how to add a policy without breaking this.
 """
 
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -69,6 +71,7 @@ from repro.platform.schedulers import (
     LeastLoadedScheduler,
     LocalityAwareScheduler,
     PowerOfTwoScheduler,
+    RandomScheduler,
 )
 from repro.platform.simcore import (
     Node,
@@ -280,17 +283,37 @@ def _materialize(
     ]
 
 
+#: Scalar record rows buffered as tuples before one columnar flush.
+_FLUSH_ROWS = 4096
+#: One buffered row, field for field the store's columns.
+_ROW_DTYPE = np.dtype([
+    ("code", np.int32), ("node", np.int32), ("arrival", np.float64),
+    ("start", np.float64), ("end", np.float64), ("cold", np.bool_),
+    ("ok", np.bool_), ("preempt", np.int32),
+])
+
+
 class _RecordStore:
-    """Growable struct-of-arrays record buffer with a string vocabulary."""
+    """Growable struct-of-arrays record buffer with a string vocabulary.
+
+    Scalar :meth:`append` only pushes a tuple onto ``rows``; the rows
+    are flushed into the columns every ``_FLUSH_ROWS`` rows and before
+    anything reads or bulk-extends the store (:attr:`n`,
+    :meth:`columns`, :meth:`extend`), so row order is append order.
+    Workload codes are assigned at append time, which keeps the
+    vocabulary in first-appearance order across the two paths.
+    """
 
     __slots__ = (
-        "n", "code", "node", "arrival", "start", "end", "cold", "ok",
-        "preempt", "vocab", "words",
+        "_n", "code", "node", "arrival", "start", "end", "cold", "ok",
+        "preempt", "vocab", "words", "rows",
     )
 
     def __init__(self) -> None:
         cap = 1024
-        self.n = 0
+        self._n = 0
+        self.rows: list[tuple[int, int, float, float, float, bool, bool,
+                              int]] = []
         self.code = np.empty(cap, np.int32)
         self.node = np.empty(cap, np.int32)
         self.arrival = np.empty(cap, np.float64)
@@ -310,17 +333,23 @@ class _RecordStore:
             self.words.append(workload_id)
         return code
 
+    @property
+    def n(self) -> int:
+        """Rows stored so far (flushes the scalar row buffer)."""
+        if self.rows:
+            self.flush()
+        return self._n
+
     def _reserve(self, need: int) -> None:
         cap = self.code.size
         if need <= cap:
             return
         while cap < need:
             cap *= 2
-        for name in ("code", "node", "arrival", "start", "end", "cold",
-                     "ok", "preempt"):
+        for name in _ROW_DTYPE.names or ():
             old = getattr(self, name)
             grown = np.empty(cap, old.dtype)
-            grown[: self.n] = old[: self.n]
+            grown[: self._n] = old[: self._n]
             setattr(self, name, grown)
 
     def append(
@@ -334,18 +363,26 @@ class _RecordStore:
         ok: bool,
         preempt: int = 0,
     ) -> None:
-        i = self.n
-        if i == self.code.size:
-            self._reserve(i + 1)
-        self.code[i] = code
-        self.node[i] = node_id
-        self.arrival[i] = arrival_s
-        self.start[i] = start_s
-        self.end[i] = end_s
-        self.cold[i] = cold
-        self.ok[i] = ok
-        self.preempt[i] = preempt
-        self.n = i + 1
+        rows = self.rows
+        rows.append(
+            (code, node_id, arrival_s, start_s, end_s, cold, ok, preempt)
+        )
+        if len(rows) >= _FLUSH_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Move the buffered scalar rows into the columns."""
+        rows = self.rows
+        if not rows:
+            return
+        n0 = self._n
+        n1 = n0 + len(rows)
+        self._reserve(n1)
+        block = np.fromiter(rows, _ROW_DTYPE, count=n1 - n0)
+        for name in _ROW_DTYPE.names or ():
+            getattr(self, name)[n0:n1] = block[name]
+        self._n = n1
+        rows.clear()
 
     def extend(
         self,
@@ -359,7 +396,7 @@ class _RecordStore:
         ok: bool,
         preempt: npt.NDArray[np.int32] | None = None,
     ) -> None:
-        n0 = self.n
+        n0 = self.n  # flushes buffered scalar rows first
         n1 = n0 + int(codes.size)
         self._reserve(n1)
         self.code[n0:n1] = codes
@@ -370,7 +407,7 @@ class _RecordStore:
         self.cold[n0:n1] = cold
         self.ok[n0:n1] = ok
         self.preempt[n0:n1] = 0 if preempt is None else preempt
-        self.n = n1
+        self._n = n1
 
     def columns(self) -> RecordColumns:
         n = self.n
@@ -594,6 +631,14 @@ class FaaSCluster:
         self._seq_n = 0
         self._sandbox_n = 0
         self._tail: _BulkTail | None = None
+        #: Node indices drawn ahead for the slab :meth:`_invoke_loop` is
+        #: running (one per row, consumed by :meth:`invoke`); None
+        #: outside such a slab, so a direct ``invoke`` calls ``pick``.
+        self._picks: Iterator[int] | None = None
+        #: A failed bulk attempt's speculative node indices and the
+        #: scheduler state they were drawn from, handed to the scalar
+        #: loop that replays the same slab.
+        self._drawn: tuple[npt.NDArray[np.int64], Any] | None = None
 
     # ------------------------------------------------------------------
     # Backend protocol
@@ -608,12 +653,21 @@ class FaaSCluster:
             )
         if self._tail is not None:
             self._materialize_tail()
-        self._advance(timestamp_s)
+        heap = self._heap
+        if heap and heap[0][0] <= timestamp_s:
+            self._advance(timestamp_s)
+        elif timestamp_s > self._clock:
+            self._clock = timestamp_s
         if self.autoscaler is not None:
             self._apply_autoscaling(timestamp_s)
-        node = self.nodes[self.scheduler.pick(self.nodes, workload_id)]
+        picks = self._picks
+        node = self.nodes[
+            next(picks) if picks is not None
+            else self.scheduler.pick(self.nodes, workload_id)
+        ]
         if not self._try_start(node, timestamp_s, workload_id):
-            self._trace("request_queued", node.node_id, workload_id)
+            if self.tracer is not None:
+                self._trace("request_queued", node.node_id, workload_id)
             node.pending.append((timestamp_s, workload_id))
 
     def invoke_many(
@@ -840,7 +894,11 @@ class FaaSCluster:
             rng_state = self._rng.bit_generator.state
             svc_req = svc_req * self._rng.lognormal(mu, sigma, n)
 
-        if ttl > 0:
+        if ttl > 0 and old is None and not self._keepalive_may_fit(
+            ts, codes, node_idx, mem, ttl
+        ):
+            ok = False  # provably infeasible: skip the pool replay
+        elif ttl > 0:
             ok = self._bulk_commit_keepalive(
                 ts, codes, node_idx, mem, coldcost, svc_req, ttl,
                 busy_cap, words, old,
@@ -851,11 +909,48 @@ class FaaSCluster:
                 busy_cap, words, old,
             )
         if not ok:
-            if speculative:
+            if type(sched) is RandomScheduler:
+                # the scalar replay of this slab would draw exactly
+                # these picks again: hand them over instead of rewinding
+                self._drawn = (node_idx, saved)
+            elif speculative:
                 cast(BatchScheduler, sched).restore(saved)
             if rng_state is not None:
                 self._rng.bit_generator.state = rng_state
         return ok
+
+    def _keepalive_may_fit(
+        self,
+        ts: npt.NDArray[np.float64],
+        codes: npt.NDArray[np.int64],
+        node_idx: npt.NDArray[np.int64],
+        mem: npt.NDArray[np.float64],
+        ttl: float,
+    ) -> bool:
+        """Fail-fast bound for a carry-free positive-TTL slab: False
+        only if :meth:`_bulk_commit_keepalive` must reject it.
+
+        Every completion comes at or after its arrival, so no sandbox
+        of the slab expires before ``ts[0] + ttl``; with no carry, the
+        first arrival of each ``(node, workload)`` pool in that window
+        cold-starts a sandbox the node still holds at the window's
+        end.  If a node's used memory plus those sandboxes exceeds its
+        capacity, some admission in the full commit's memory calendar
+        does too.  The relative margin covers the calendar summing the
+        same memory in a different order.
+        """
+        k = int(np.searchsorted(ts, ts[0] + ttl, side="left"))
+        n_words = int(mem.size)
+        pools = np.unique(node_idx[:k] * n_words + codes[:k])
+        need = np.bincount(
+            pools // n_words, weights=mem[pools % n_words],
+            minlength=len(self.nodes),
+        )
+        for node, extra in zip(self.nodes, need.tolist()):
+            if (node.used_memory_mb + extra
+                    > node.memory_capacity_mb * (1.0 + 1e-9)):
+                return False
+        return True
 
     def _store_codes(self) -> npt.NDArray[np.int32]:
         store = self._store
@@ -1922,9 +2017,60 @@ class FaaSCluster:
         ts: npt.NDArray[np.float64],
         workload_ids: Sequence[str],
     ) -> None:
+        """Submit a slab row by row through :meth:`invoke`.
+
+        Under an exact-type :class:`RandomScheduler` (and no autoscaler,
+        which could resize the cluster between picks) every row picks
+        exactly once from a private RNG, so the slab's node indices are
+        drawn up front with one ``pick_many`` -- stream-equal to the
+        sequential ``pick`` calls -- or taken over from a failed bulk
+        attempt on the same slab.  Invalid input keeps per-row picks so
+        that errors surface at the exact row with the exact RNG state;
+        an exception from a policy hook mid-slab rewinds the scheduler
+        to the draws actually consumed.
+        """
         invoke = self.invoke
-        for t, w in zip(ts.tolist(), workload_ids):
-            invoke(t, w)
+        drawn, self._drawn = self._drawn, None
+        sched = self.scheduler
+        if (
+            drawn is None
+            and type(sched) is RandomScheduler
+            and self.autoscaler is None
+            and self._valid_slab(ts, workload_ids)
+        ):
+            state = sched.snapshot()
+            drawn = (sched.pick_many(self.nodes, workload_ids), state)
+        picks: Iterator[int] | None = None
+        if drawn is not None:
+            node_idx, state = drawn
+            self._picks = picks = iter(node_idx.tolist())
+        try:
+            for t, w in zip(ts.tolist(), workload_ids):
+                invoke(t, w)
+        except BaseException:
+            if picks is not None:
+                # leave the RNG where the rows picked so far left it
+                used = len(workload_ids) - operator.length_hint(picks)
+                rsched = cast(RandomScheduler, sched)
+                rsched.restore(state)
+                rsched.pick_many(self.nodes, workload_ids[:used])
+            raise
+        finally:
+            self._picks = None
+
+    def _valid_slab(
+        self,
+        ts: npt.NDArray[np.float64],
+        workload_ids: Sequence[str],
+    ) -> bool:
+        """Whether :meth:`invoke` accepts every row of a non-empty slab:
+        known workloads, timestamps non-decreasing and not before the
+        clock."""
+        return (
+            float(ts[0]) >= self._clock
+            and bool(np.all(ts[1:] >= ts[:-1]))
+            and set(workload_ids).issubset(self.profiles)
+        )
 
     def _materialize_tail(self) -> None:
         """Turn a bulk carry into ordinary heap events and node state so
@@ -2073,50 +2219,65 @@ class FaaSCluster:
         if self.tracer is not None:
             self.tracer.emit(self._clock, kind, node_id, workload_id)
 
-    def _push(self, when: float, kind: str, payload: tuple[Any, ...]) -> None:
-        heapq.heappush(self._heap, (when, self._seq_n, kind, payload))
-        self._seq_n += 1
+    # The per-row chain below is the array engine's one scalar
+    # admission path, so it is kept cheap: ``Node.pop_idle`` /
+    # ``push_idle`` and the heap push are inlined, stale expiries are
+    # dropped without a call, and ``_trace`` / ``_serve_pending`` are
+    # only called when a tracer is set or the node has a backlog.  The
+    # control flow is the reference engine's.
 
     def _advance(self, until: float) -> None:
-        while self._heap and self._heap[0][0] <= until:
-            when, _, kind, payload = heapq.heappop(self._heap)
+        heap = self._heap
+        heappop = heapq.heappop
+        while heap and heap[0][0] <= until:
+            when, _, kind, payload = heappop(heap)
             self._clock = when
             if kind == "end":
                 self._on_completion(when, *payload)
             elif kind == "crash":
                 self._on_crash(when, *payload)
             else:  # "expire"
-                self._on_expiry(when, *payload)
-        self._clock = max(self._clock, until)
+                node, sandbox, generation = payload
+                # stale if the sandbox was reused or evicted since
+                if sandbox.expire_generation == generation:
+                    self._on_expiry(node, sandbox)
+        if until > self._clock:
+            self._clock = until
 
     def _try_start(self, node: Node, arrival_s: float,
                    workload_id: str) -> bool:
         """Start an invocation now if a sandbox can be had; else False."""
         now = self._clock
         profile = self.profiles[workload_id]
-        sandbox = node.pop_idle(workload_id)
-        if sandbox is not None:
+        tracer = self.tracer
+        idle = node.idle
+        stack = idle.get(workload_id)
+        if stack:
+            sandbox = stack.pop()  # LIFO: the most recently idled
+            if not stack:
+                del idle[workload_id]
             self.keepalive.observe_idle_gap(
                 workload_id, now - sandbox.idle_since
             )
             sandbox.expire_generation += 1  # cancels the queued expiry
-            self._trace("sandbox_reused", node.node_id, workload_id)
+            if tracer is not None:
+                tracer.emit(now, "sandbox_reused", node.node_id,
+                            workload_id)
             start = now
             cold = False
         else:
             # Make room, evicting the least recently used idle sandboxes.
-            while (
-                node.used_memory_mb + profile.memory_mb
-                > node.memory_capacity_mb
-            ):
+            mem = profile.memory_mb
+            while node.used_memory_mb + mem > node.memory_capacity_mb:
                 victim = node.lru_idle()
                 if victim is None:
                     return False
                 victim.expire_generation += 1
                 node.remove_idle(victim)
-                self._trace("sandbox_evicted", node.node_id,
-                            victim.workload_id)
-            node.used_memory_mb += profile.memory_mb
+                if tracer is not None:
+                    tracer.emit(now, "sandbox_evicted", node.node_id,
+                                victim.workload_id)
+            node.used_memory_mb += mem
             if self.track_memory:
                 self.memory_samples.append(
                     (now, node.node_id, node.used_memory_mb)
@@ -2124,10 +2285,12 @@ class FaaSCluster:
             sandbox = _Sandbox(
                 sandbox_id=self._sandbox_n,
                 workload_id=workload_id,
-                memory_mb=profile.memory_mb,
+                memory_mb=mem,
             )
             self._sandbox_n += 1
-            self._trace("sandbox_created", node.node_id, workload_id)
+            if tracer is not None:
+                tracer.emit(now, "sandbox_created", node.node_id,
+                            workload_id)
             start = now + self.cold_start_model(profile)
             cold = True
 
@@ -2167,14 +2330,18 @@ class FaaSCluster:
                 end = start + service_s * min(max(frac, 0.0), 1.0)
                 ok = False
         node.busy_count += 1
-        self._store.append(
-            self._store.code_for(workload_id),
-            node.node_id, arrival_s, start, end, cold, ok,
-            preempt=preemptions,
+        store = self._store
+        store.append(
+            store.code_for(workload_id),
+            node.node_id, arrival_s, start, end, cold, ok, preemptions,
         )
         # Events carry the Node object itself: under autoscaling the
         # nodes list mutates, so positional ids are not stable handles.
-        self._push(end, "end" if ok else "crash", (node, sandbox))
+        heapq.heappush(
+            self._heap,
+            (end, self._seq_n, "end" if ok else "crash", (node, sandbox)),
+        )
+        self._seq_n += 1
         return True
 
     def _on_completion(self, now: float, node: Node,
@@ -2184,14 +2351,26 @@ class FaaSCluster:
             node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
         sandbox.idle_since = now
         sandbox.expire_generation += 1
-        node.push_idle(sandbox)
-        ttl = self.keepalive.ttl_s(sandbox.workload_id)
+        workload_id = sandbox.workload_id
+        # a new stack goes to the end of the dict: lru_idle tie-breaks
+        # on key insertion order
+        stack = node.idle.get(workload_id)
+        if stack is None:
+            node.idle[workload_id] = [sandbox]
+        else:
+            stack.append(sandbox)
+        ttl = self.keepalive.ttl_s(workload_id)
         if ttl <= 0:
             node.remove_idle(sandbox)
         else:
-            self._push(now + ttl, "expire",
-                       (node, sandbox, sandbox.expire_generation))
-        self._serve_pending(node)
+            heapq.heappush(
+                self._heap,
+                (now + ttl, self._seq_n, "expire",
+                 (node, sandbox, sandbox.expire_generation)),
+            )
+            self._seq_n += 1
+        if node.pending:
+            self._serve_pending(node)
 
     def _on_crash(self, now: float, node: Node,
                   sandbox: _Sandbox) -> None:
@@ -2207,20 +2386,20 @@ class FaaSCluster:
             self.memory_samples.append(
                 (self._clock, node.node_id, node.used_memory_mb)
             )
-        self._serve_pending(node)
+        if node.pending:
+            self._serve_pending(node)
 
-    def _on_expiry(self, now: float, node: Node, sandbox: _Sandbox,
-                   generation: int) -> None:
-        del now
-        if sandbox.expire_generation != generation:
-            return  # sandbox was reused or evicted in the meantime
+    def _on_expiry(self, node: Node, sandbox: _Sandbox) -> None:
         node.remove_idle(sandbox)
-        self._trace("sandbox_expired", node.node_id, sandbox.workload_id)
+        if self.tracer is not None:
+            self._trace("sandbox_expired", node.node_id,
+                        sandbox.workload_id)
         if self.track_memory:
             self.memory_samples.append(
                 (self._clock, node.node_id, node.used_memory_mb)
             )
-        self._serve_pending(node)
+        if node.pending:
+            self._serve_pending(node)
 
     def _serve_pending(self, node: Node) -> None:
         while node.pending:
