@@ -40,8 +40,7 @@ The bulk path preserves this down to IEEE float accumulation order
 (``used_memory_mb`` is folded with ``cumsum`` in the reference engine's
 exact event order) and RNG stream position (batched scheduler draws are
 stream-equal to sequential ones; a speculative batch that must fall back
-hands its ``RandomScheduler`` picks to the scalar loop, or rewinds any
-other scheduler via its ``snapshot``/``restore`` protocol).
+is rewound via the scheduler's ``snapshot``/``restore`` protocol).
 See docs/SIMULATOR.md for how to add a policy without breaking this.
 """
 
@@ -635,10 +634,6 @@ class FaaSCluster:
         #: running (one per row, consumed by :meth:`invoke`); None
         #: outside such a slab, so a direct ``invoke`` calls ``pick``.
         self._picks: Iterator[int] | None = None
-        #: A failed bulk attempt's speculative node indices and the
-        #: scheduler state they were drawn from, handed to the scalar
-        #: loop that replays the same slab.
-        self._drawn: tuple[npt.NDArray[np.int64], Any] | None = None
 
     # ------------------------------------------------------------------
     # Backend protocol
@@ -909,11 +904,7 @@ class FaaSCluster:
                 busy_cap, words, old,
             )
         if not ok:
-            if type(sched) is RandomScheduler:
-                # the scalar replay of this slab would draw exactly
-                # these picks again: hand them over instead of rewinding
-                self._drawn = (node_idx, saved)
-            elif speculative:
+            if speculative:
                 cast(BatchScheduler, sched).restore(saved)
             if rng_state is not None:
                 self._rng.bit_generator.state = rng_state
@@ -2023,27 +2014,18 @@ class FaaSCluster:
         which could resize the cluster between picks) every row picks
         exactly once from a private RNG, so the slab's node indices are
         drawn up front with one ``pick_many`` -- stream-equal to the
-        sequential ``pick`` calls -- or taken over from a failed bulk
-        attempt on the same slab.  Invalid input keeps per-row picks so
-        that errors surface at the exact row with the exact RNG state;
-        an exception from a policy hook mid-slab rewinds the scheduler
-        to the draws actually consumed.
+        sequential ``pick`` calls.  If a row raises (invalid input, or a
+        policy hook), the scheduler is rewound to the draws the rows
+        before it consumed, so the RNG ends where per-row picks leave it.
         """
         invoke = self.invoke
-        drawn, self._drawn = self._drawn, None
         sched = self.scheduler
-        if (
-            drawn is None
-            and type(sched) is RandomScheduler
-            and self.autoscaler is None
-            and self._valid_slab(ts, workload_ids)
-        ):
-            state = sched.snapshot()
-            drawn = (sched.pick_many(self.nodes, workload_ids), state)
         picks: Iterator[int] | None = None
-        if drawn is not None:
-            node_idx, state = drawn
-            self._picks = picks = iter(node_idx.tolist())
+        if type(sched) is RandomScheduler and self.autoscaler is None:
+            state = sched.snapshot()
+            self._picks = picks = iter(
+                sched.pick_many(self.nodes, workload_ids).tolist()
+            )
         try:
             for t, w in zip(ts.tolist(), workload_ids):
                 invoke(t, w)
@@ -2057,20 +2039,6 @@ class FaaSCluster:
             raise
         finally:
             self._picks = None
-
-    def _valid_slab(
-        self,
-        ts: npt.NDArray[np.float64],
-        workload_ids: Sequence[str],
-    ) -> bool:
-        """Whether :meth:`invoke` accepts every row of a non-empty slab:
-        known workloads, timestamps non-decreasing and not before the
-        clock."""
-        return (
-            float(ts[0]) >= self._clock
-            and bool(np.all(ts[1:] >= ts[:-1]))
-            and set(workload_ids).issubset(self.profiles)
-        )
 
     def _materialize_tail(self) -> None:
         """Turn a bulk carry into ordinary heap events and node state so
@@ -2220,11 +2188,10 @@ class FaaSCluster:
             self.tracer.emit(self._clock, kind, node_id, workload_id)
 
     # The per-row chain below is the array engine's one scalar
-    # admission path, so it is kept cheap: ``Node.pop_idle`` /
-    # ``push_idle`` and the heap push are inlined, stale expiries are
-    # dropped without a call, and ``_trace`` / ``_serve_pending`` are
-    # only called when a tracer is set or the node has a backlog.  The
-    # control flow is the reference engine's.
+    # admission path, so it is kept cheap: the heap push is inlined,
+    # stale expiries are dropped without a call, and ``_trace`` /
+    # ``_serve_pending`` are only called when a tracer is set or the
+    # node has a backlog.  The control flow is the reference engine's.
 
     def _advance(self, until: float) -> None:
         heap = self._heap
@@ -2250,12 +2217,8 @@ class FaaSCluster:
         now = self._clock
         profile = self.profiles[workload_id]
         tracer = self.tracer
-        idle = node.idle
-        stack = idle.get(workload_id)
-        if stack:
-            sandbox = stack.pop()  # LIFO: the most recently idled
-            if not stack:
-                del idle[workload_id]
+        sandbox = node.pop_idle(workload_id)
+        if sandbox is not None:
             self.keepalive.observe_idle_gap(
                 workload_id, now - sandbox.idle_since
             )
@@ -2351,15 +2314,8 @@ class FaaSCluster:
             node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
         sandbox.idle_since = now
         sandbox.expire_generation += 1
-        workload_id = sandbox.workload_id
-        # a new stack goes to the end of the dict: lru_idle tie-breaks
-        # on key insertion order
-        stack = node.idle.get(workload_id)
-        if stack is None:
-            node.idle[workload_id] = [sandbox]
-        else:
-            stack.append(sandbox)
-        ttl = self.keepalive.ttl_s(workload_id)
+        node.push_idle(sandbox)
+        ttl = self.keepalive.ttl_s(sandbox.workload_id)
         if ttl <= 0:
             node.remove_idle(sandbox)
         else:

@@ -4,9 +4,9 @@ Every row that the bulk path does not commit goes through
 ``FaaSCluster.invoke``.  These cases pin the pieces that make that path
 cheap without changing what it computes:
 
-- pre-drawn scheduler picks (one ``pick_many`` per slab, or the picks
-  of a failed bulk attempt) leave ``RandomScheduler``'s RNG exactly
-  where per-row ``pick`` calls would, also when a slab raises midway;
+- pre-drawn scheduler picks (one ``pick_many`` per slab) leave
+  ``RandomScheduler``'s RNG exactly where per-row ``pick`` calls would,
+  also after a failed bulk attempt and when a slab raises midway;
 - the record store's row buffer keeps row order, the vocabulary order
   and the identity of the ``records`` list;
 - deep warm pools and LRU evictions replay byte-identically through
@@ -198,14 +198,14 @@ def _tight_random_kwargs(seed=4):
     )
 
 
-def test_fallback_slab_reuses_the_bulk_draws():
+def test_fallback_slab_does_not_pick_per_row():
     ts, wids = make_load(0, n=400, horizon_s=4.0)
     cluster = FaaSCluster(make_profiles(), **_tight_random_kwargs())
     outcomes = _bulk_outcomes(cluster)
     calls = _count_picks(cluster.scheduler)
     cluster.invoke_many(ts, wids)
     assert outcomes == [False]
-    assert calls == [], "the scalar replay must not pick again"
+    assert calls == [], "the scalar replay must use pre-drawn picks"
     assert cluster.scheduler._rng.bit_generator.state == (
         _sequential_state(4, 3, len(wids))
     )
@@ -241,7 +241,7 @@ def test_ineligible_slab_draws_once_per_row_up_front():
 
 
 @pytest.mark.parametrize("bad", ["unknown", "unsorted"])
-def test_invalid_slab_picks_row_by_row_up_to_the_error(bad):
+def test_invalid_slab_leaves_the_rng_at_the_error_row(bad):
     ts, wids = make_load(2, n=60)
     wids = list(wids)
     if bad == "unknown":
@@ -257,15 +257,13 @@ def test_invalid_slab_picks_row_by_row_up_to_the_error(bad):
         scheduler=RandomScheduler(seed=5),
     )
     vec = FaaSCluster(make_profiles(), **kwargs())
-    calls = _count_picks(vec.scheduler)
     ref = ObjectFaaSCluster(make_profiles(), **kwargs())
     with pytest.raises(error):
         vec.invoke_many(ts, wids)
     with pytest.raises(error):
         for t, w in zip(ts.tolist(), wids):
             ref.invoke(t, w)
-    # nothing drawn ahead: rows 0-36 picked one by one, row 37 raised
-    assert calls == wids[:37]
+    # rows 0-36 picked, row 37 raised before picking
     assert (vec.scheduler._rng.bit_generator.state
             == ref.scheduler._rng.bit_generator.state)
     assert vec.drain() == ref.drain()
@@ -275,13 +273,13 @@ class _Boom(Exception):
     pass
 
 
-@pytest.mark.parametrize("handed_over", [False, True])
+@pytest.mark.parametrize("after_fallback", [False, True])
 def test_exception_mid_slab_leaves_the_rng_at_the_consumed_picks(
-    handed_over,
+    after_fallback,
 ):
     ts, wids = make_load(3, n=200, horizon_s=2.0)
-    if handed_over:
-        # bulk-eligible but infeasible: the loop runs on the bulk draws
+    if after_fallback:
+        # bulk-eligible but infeasible: the loop runs after a rewind
         kwargs = _tight_random_kwargs(seed=6)
     else:
         kwargs = dict(n_nodes=3, node_memory_mb=8192.0,
@@ -300,7 +298,7 @@ def test_exception_mid_slab_leaves_the_rng_at_the_consumed_picks(
     cluster._try_start = failing
     with pytest.raises(_Boom):
         cluster.invoke_many(ts, wids)
-    assert outcomes == ([False] if handed_over else [])
+    assert outcomes == ([False] if after_fallback else [])
     # row 120 picked its node before failing: 121 draws were consumed
     assert cluster.scheduler._rng.bit_generator.state == (
         _sequential_state(6, 3, 121)
