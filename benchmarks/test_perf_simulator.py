@@ -37,7 +37,6 @@ from repro.platform import (
     RandomScheduler,
     WorkloadProfile,
     summarize,
-    summarize_columns,
 )
 
 N_INVOCATIONS = 1_000_000
@@ -107,7 +106,7 @@ def _make_keepalive_cluster(cls):
 def _run_vec(ts, wids):
     cluster = _make_cluster(FaaSCluster)
     cluster.invoke_many(ts, wids)
-    return summarize_columns(cluster.drain_columns())
+    return summarize(cluster.drain_columns())
 
 
 def _run_object(ts, wids):
@@ -136,7 +135,7 @@ def _run_cpu_vec(ts, wids):
     cluster = _make_cpu_cluster(FaaSCluster)
     cluster.invoke_many(ts, wids)
     cols = cluster.drain_columns()
-    summary = summarize_columns(cols)
+    summary = summarize(cols)
     summary["preemptions_total"] = int(np.sum(cols.preemptions))
     return summary
 
@@ -152,7 +151,7 @@ def _run_cpu_object(ts, wids):
 def _run_keepalive_vec(ts, wids):
     cluster = _make_keepalive_cluster(FaaSCluster)
     cluster.invoke_many(ts, wids)
-    return summarize_columns(cluster.drain_columns())
+    return summarize(cluster.drain_columns())
 
 
 def _run_keepalive_object(ts, wids):
@@ -272,7 +271,7 @@ def test_perf_simulator_cpu_model_throughput_floor():
 
 def test_perf_simulator_streaming_peak_ceiling():
     """ISSUE 8 acceptance: a synthetic day 10x the bulk benchmark's
-    size streams through ``invoke_chunked`` -- generated slab by slab,
+    size streams through ``invoke_many`` -- generated slab by slab,
     never materialised -- inside a peak-allocation ceiling that one-shot
     submission could not meet."""
     names = [f"w{i}" for i in range(N_WORKLOADS)]
@@ -295,8 +294,9 @@ def test_perf_simulator_streaming_peak_ceiling():
 
     def run():
         cluster = _make_keepalive_cluster(FaaSCluster)
-        cluster.invoke_chunked(slabs())
-        return summarize_columns(cluster.drain_columns())
+        for ts, wids in slabs():
+            cluster.invoke_many(ts, wids)
+        return summarize(cluster.drain_columns())
 
     peak, summary = _peak_bytes(run)
     peak_mib = peak / 2**20

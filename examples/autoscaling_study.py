@@ -16,6 +16,7 @@ import numpy as np
 from repro.core import shrink
 from repro.loadgen import generate_request_trace, replay
 from repro.platform import (
+    CpuModel,
     FaaSCluster,
     ReactiveAutoscaler,
     profiles_from_spec,
@@ -56,7 +57,7 @@ def main() -> None:
             evaluate_every_s=30.0, scale_down_grace_s=180.0)),
     ):
         backend = FaaSCluster(profiles, n_nodes=nodes,
-                              node_memory_mb=8_192.0, cores_per_node=4,
+                              node_memory_mb=8_192.0, cpu=CpuModel(cores=4),
                               autoscaler=policy)
         summary = summarize(replay(load, backend).columns)
         hours = (node_hours(policy.events, horizon, nodes)

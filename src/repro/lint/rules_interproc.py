@@ -19,7 +19,7 @@ These rules consult :class:`~repro.lint.callgraph.ProjectContext`
   These fail only at runtime, on the start-method the test matrix
   happens not to cover.
 - **PAR001** -- a class exposing a paired scalar/bulk API
-  (``invoke``/``invoke_many``/``invoke_chunked``, ``pick``/``pick_many``)
+  (``invoke``/``invoke_many``, ``pick``/``pick_many``)
   that is not registered in the differential parity suite
   (``tests/test_simulator_equivalence.py`` / ``repro.platform.diffsim``).
   An unregistered bulk path is exactly how a vectorisation bug ships:
@@ -58,7 +58,7 @@ _MUTABLE_CONSTRUCTORS = frozenset({
 #: The scalar/bulk API pairs PAR001 enforces: scalar method -> the bulk
 #: spellings that pair with it.
 _PARITY_PAIRS = {
-    "invoke": ("invoke_many", "invoke_chunked"),
+    "invoke": ("invoke_many",),
     "pick": ("pick_many",),
 }
 
@@ -375,8 +375,7 @@ class ScalarBulkParity(Rule):
 
     The array engine's whole trust model is "the bulk path is
     byte-identical to the scalar loop, and a differential suite proves
-    it".  A class that grows ``invoke_many``/``invoke_chunked`` beside
-    ``invoke`` (or ``pick_many`` beside ``pick``) without appearing in
+    it".  A class that grows ``invoke_many`` beside ``invoke`` (or ``pick_many`` beside ``pick``) without appearing in
     ``tests/test_simulator_equivalence.py`` or
     ``repro.platform.diffsim`` has an unverified fast path -- the exact
     gap differential testing exists to close.  Protocol/ABC

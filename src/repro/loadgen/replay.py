@@ -296,11 +296,11 @@ def replay(
         does not).
     chunk_rows:
         When set (infinite speed only), the trace is sliced into slabs
-        of at most this many requests and submitted via the backend's
-        ``invoke_chunked`` (falling back to per-slab ``invoke_many``),
-        bounding the working set a batched backend touches at once --
-        the array simulator carries its bulk state across slab
-        boundaries, so results are identical to one-shot submission.
+        of at most this many requests and submitted slab by slab via
+        the backend's ``invoke_many``, bounding the working set a
+        batched backend touches at once -- the array simulator carries
+        its bulk state across slab boundaries, so results are identical
+        to one-shot submission.
         Ignored on the paced and resilient paths, which are per-request
         anyway.
     drift:
@@ -360,16 +360,7 @@ def replay(
         # forwards attribute access (e.g. FaultyBackend.__getattr__) must
         # not let the batch bypass its per-request invoke() logic.
         batch_invoke = getattr(type(backend), "invoke_many", None)
-        chunked_invoke = getattr(type(backend), "invoke_chunked", None)
-        if chunk_rows is not None and chunked_invoke is not None:
-            chunked_invoke(
-                backend,
-                iter_trace_slabs(
-                    trace.timestamps_s, workload_ids,
-                    chunk_rows=chunk_rows,
-                ),
-            )
-        elif chunk_rows is not None and batch_invoke is not None:
+        if chunk_rows is not None and batch_invoke is not None:
             for slab_ts, slab_wids in iter_trace_slabs(
                 trace.timestamps_s, workload_ids, chunk_rows=chunk_rows
             ):

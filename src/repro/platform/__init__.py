@@ -49,7 +49,6 @@ from repro.platform.metrics import (
     record_outcome_metrics,
     retry_histogram,
     summarize,
-    summarize_columns,
 )
 from repro.platform.schedulers import (
     HashAffinityScheduler,
@@ -137,7 +136,6 @@ __all__ = [
     "retry_histogram",
     "run_shootout",
     "summarize",
-    "summarize_columns",
 ]
 
 

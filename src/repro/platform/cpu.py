@@ -1,12 +1,11 @@
 """Deterministic CPU-contention model for the cluster simulators.
 
-The simulators' original resource model is memory-only (plus the crude
-``cores_per_node`` oversubscription knob); this module adds a proper
-CPU model -- per-node core counts, a timeslice quantum, preemption
-counts, and run-queue-aware service-time dilation -- shared by both
-engines so contention-sensitive studies (tail latency under CPU
-pressure, scheduling-policy shootouts) are possible without giving up
-the byte-identity contract.
+Besides memory, the simulators model CPU contention with this module
+alone: per-node core counts, a timeslice quantum, preemption counts,
+and run-queue-aware service-time dilation, shared by both engines so
+contention-sensitive studies (tail latency under CPU pressure,
+scheduling-policy shootouts) are possible without giving up the
+byte-identity contract.
 
 Semantics (identical in both engines, applied at admission time like
 every other service-time modifier):
@@ -18,8 +17,7 @@ every other service-time modifier):
   wall-clock the invocation's CPU demand stretches to and how many
   times it is preempted (timeslice expiries), as a pure function of the
   admission-time run-queue state -- the dilation is fixed at admission,
-  mirroring the engines' long-standing "no re-scheduling mid-flight"
-  contract for ``cores_per_node``;
+  with no re-scheduling mid-flight;
 - every policy is **work conserving** (``concurrent <= cores`` never
   dilates) and never shrinks service time; the property suite
   (``tests/test_properties_cpu.py``) pins both invariants.
@@ -202,8 +200,7 @@ class ShortestFirstCpu:
 class CpuModel:
     """Per-node CPU topology + scheduling policy.
 
-    Passed to either engine as the ``cpu=`` knob (mutually exclusive
-    with the legacy ``cores_per_node`` slowdown).  ``quantum_s`` is the
+    Passed to either engine as the ``cpu=`` knob.  ``quantum_s`` is the
     scheduler timeslice used for preemption accounting; 20 ms mirrors
     a typical CFS target latency share.
     """

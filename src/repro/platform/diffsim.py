@@ -265,11 +265,10 @@ def run_once(cls: type, cfg: FuzzConfig) -> dict[str, Any]:
         if cls is FaaSCluster and cfg.batch == "bulk":
             cluster.invoke_many(ts, wids)
         elif cls is FaaSCluster and cfg.batch == "chunked":
-            cluster.invoke_chunked(
-                iter_trace_slabs(
-                    ts, wids, chunk_rows=cfg.chunk_rows or 16
-                )
-            )
+            for slab_ts, slab_wids in iter_trace_slabs(
+                ts, wids, chunk_rows=cfg.chunk_rows or 16
+            ):
+                cluster.invoke_many(slab_ts, slab_wids)
         elif cls is FaaSCluster and cfg.batch == "mixed":
             half = len(wids) // 2
             cluster.invoke_many(ts[:half], wids[:half])

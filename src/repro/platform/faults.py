@@ -275,18 +275,6 @@ class FaultyBackend:
         ):
             invoke(ts, wid)
 
-    def invoke_chunked(self, slabs) -> None:
-        """Streamed submission: one fault gauntlet per request, slab by
-        slab.
-
-        Like :meth:`invoke_many`, defined explicitly so a chunked replay
-        cannot bypass injection via ``__getattr__`` forwarding; the draw
-        stream is identical under scalar, bulk, and chunked submission
-        because each slab routes through the same per-request gauntlet.
-        """
-        for ts, wids in slabs:
-            self.invoke_many(ts, wids)
-
     def drain(self) -> list:
         records = self.inner.drain()
         if not self._spikes:

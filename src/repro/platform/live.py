@@ -121,10 +121,5 @@ class LiveBackend:
         ):
             invoke(ts, wid)
 
-    def invoke_chunked(self, slabs) -> None:
-        """Streamed submission, slab by slab (see :meth:`invoke_many`)."""
-        for ts, wids in slabs:
-            self.invoke_many(ts, wids)
-
     def drain(self) -> list[InvocationRecord]:
         return self.records

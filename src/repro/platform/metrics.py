@@ -21,7 +21,6 @@ __all__ = [
     "record_outcome_metrics",
     "retry_histogram",
     "summarize",
-    "summarize_columns",
 ]
 
 
@@ -113,11 +112,6 @@ def summarize(records: RecordColumns | list[InvocationRecord]) -> dict:
         ),
         "node_imbalance": float(node_counts.max() / node_counts.mean()),
     }
-
-
-def summarize_columns(columns: RecordColumns) -> dict:
-    """:func:`summarize` of a :class:`RecordColumns` (kept as an alias)."""
-    return summarize(columns)
 
 
 def per_workload_cold_rates(

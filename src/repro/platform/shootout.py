@@ -47,7 +47,7 @@ from repro.platform.keepalive import (
     HybridHistogramKeepAlive,
     NoKeepAlive,
 )
-from repro.platform.metrics import cpu_utilization, summarize_columns
+from repro.platform.metrics import cpu_utilization, summarize
 from repro.platform.schedulers import (
     HashAffinityScheduler,
     LeastLoadedScheduler,
@@ -250,7 +250,7 @@ def run_cell(config: ShootoutConfig, cell: ShootoutCell) -> dict[str, Any]:
     )
     cluster.invoke_many(ts, wids)
     columns = cluster.drain_columns()
-    summary = summarize_columns(columns)
+    summary = summarize(columns)
     cpu = cpu_utilization(columns, cores=config.cores,
                           n_nodes=config.n_nodes)
     return {

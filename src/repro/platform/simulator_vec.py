@@ -24,9 +24,10 @@ struct-of-arrays storage:
   array per slab, stream-equal to the scalar draws, rewound on
   fallback), and batch-capable schedulers; whatever the slab leaves
   outstanding -- running invocations *and* warm idle sandboxes --
-  becomes a :class:`_BulkTail` carry that survives chunk boundaries
-  (:meth:`invoke_chunked`), is finalised vectorised at drain, or is
-  materialised into ordinary heap events if scalar traffic follows.
+  becomes a :class:`_BulkTail` carry that survives slab boundaries
+  (one :meth:`invoke_many` per slab streams a trace memory-bounded), is
+  finalised vectorised at drain, or is materialised into ordinary heap
+  events if scalar traffic follows.
 - **Everything else** -- keep-alive LRU stacks, stateful schedulers,
   autoscaling, fault hooks, tracing -- runs the exact control flow of
   the reference engine, on the same :class:`~repro.platform.simcore.Node`
@@ -51,7 +52,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import Any, Protocol, cast
 
 import numpy as np
@@ -489,12 +490,13 @@ def _group_stable(
 class _BulkTail:
     """Vectorised carry a bulk slab leaves behind past its last arrival.
 
-    The carry survives chunk boundaries (:meth:`FaaSCluster.invoke_chunked`
-    folds it into the next slab's event calendar) and supports both
-    exits: drain applies the precomputed ``final_used``/``drain_clock``
-    directly, while scalar traffic materialises it into ordinary heap
-    events and node state so interleaving stays byte-identical to the
-    reference engine.
+    The carry survives slab boundaries (the next
+    :meth:`FaaSCluster.invoke_many` folds it into that slab's event
+    calendar, so results are invariant to how a stream is sliced) and
+    supports both exits: drain applies the precomputed
+    ``final_used``/``drain_clock`` directly, while scalar traffic
+    materialises it into ordinary heap events and node state so
+    interleaving stays byte-identical to the reference engine.
 
     Still-running invocations: row ``j`` holds the completion time, the
     end-event heap sequence number the reference engine would have
@@ -564,7 +566,6 @@ class FaaSCluster:
             [WorkloadProfile], float
         ] = default_cold_start_s,
         service_time_cv: float = 0.0,
-        cores_per_node: int | None = None,
         cpu: CpuModel | None = None,
         track_memory: bool = False,
         queue_timeout_s: float | None = None,
@@ -581,13 +582,6 @@ class FaaSCluster:
             raise ValueError("cluster needs at least one workload profile")
         if service_time_cv < 0:
             raise ValueError("service_time_cv must be non-negative")
-        if cores_per_node is not None and cores_per_node <= 0:
-            raise ValueError("cores_per_node must be positive")
-        if cpu is not None and cores_per_node is not None:
-            raise ValueError(
-                "cpu and cores_per_node are mutually exclusive; the "
-                "CpuModel replaces the first-order slowdown"
-            )
         if queue_timeout_s is not None and queue_timeout_s <= 0:
             raise ValueError("queue_timeout_s must be positive")
         biggest = max(p.memory_mb for p in profiles.values())
@@ -612,7 +606,6 @@ class FaaSCluster:
         self._node_memory_mb = node_memory_mb
         self._next_node_id = n_nodes
         self.service_time_cv = service_time_cv
-        self.cores_per_node = cores_per_node
         self.cpu = cpu
         self.track_memory = track_memory
         self.memory_samples: list[tuple[float, int, float]] = []
@@ -693,24 +686,6 @@ class FaaSCluster:
             return
         self._invoke_loop(ts, workload_ids)
 
-    def invoke_chunked(
-        self,
-        slabs: Iterable[tuple[npt.ArrayLike, Sequence[str]]],
-    ) -> None:
-        """Submit a stream of timestamp-ordered ``(timestamps,
-        workload_ids)`` slabs.
-
-        Equivalent to one :meth:`invoke_many` over the concatenation --
-        the bulk carry (:class:`_BulkTail`) survives chunk boundaries,
-        so results are invariant to how the stream is sliced -- while
-        holding only one slab in memory at a time.  Feed it from
-        :func:`iter_trace_slabs` (or any generator over a trace file)
-        to stream arbitrarily long traces through the engine
-        memory-bounded.
-        """
-        for ts, wids in slabs:
-            self.invoke_many(ts, wids)
-
     def drain(self) -> list[InvocationRecord]:
         self._drain_events()
         self._drain_telemetry()
@@ -776,18 +751,17 @@ class FaaSCluster:
         (``NoKeepAlive`` / ``FixedKeepAlive``; a histogram policy learns
         from reuse order mid-slab), no policy callback may observe
         intermediate state (autoscaler / tracer / fault hook), cold
-        starts are pure per-profile values, no oversubscription slowdown
-        or memory sampling, and no *scalar* events are in flight -- an
-        outstanding bulk carry with the same TTL is fine, it is part of
-        the vectorised state.  Service-time jitter is allowed: the slab
-        pre-draws one lognormal array stream-equal to the scalar
-        per-request draws and rewinds the RNG on fallback.  A
-        :class:`~repro.platform.cpu.CpuModel` is allowed with zero TTL
-        only: the teardown commit replays each node's run queue
-        sequentially (the dilation feedback loop has no closed form),
-        but warm reuse under contention couples pools through busy
-        counts, which the keep-alive commit's independent pool replay
-        cannot see.
+        starts are pure per-profile values, no memory sampling, and no
+        *scalar* events are in flight -- an outstanding bulk carry with
+        the same TTL is fine, it is part of the vectorised state.
+        Service-time jitter is allowed: the slab pre-draws one lognormal
+        array stream-equal to the scalar per-request draws and rewinds
+        the RNG on fallback.  A :class:`~repro.platform.cpu.CpuModel` is
+        allowed with zero TTL only: the teardown commit replays each
+        node's run queue sequentially (the dilation feedback loop has no
+        closed form), but warm reuse under contention couples pools
+        through busy counts, which the keep-alive commit's independent
+        pool replay cannot see.
         """
         ttl = self._bulk_ttl()
         if ttl is None:
@@ -798,7 +772,7 @@ class FaaSCluster:
             or self.fault_hook is not None
         ):
             return False
-        if self.cores_per_node is not None or self.track_memory:
+        if self.track_memory:
             return False
         if self.cpu is not None and ttl > 0:
             return False
@@ -1351,177 +1325,17 @@ class FaaSCluster:
         # ---- pool decision replay (pure: no engine state touched) ----
         # Sources are numbered: new invocation k -> k, carried busy row
         # r -> n + r, carried idle row r -> n + nb + r.
-        #
-        # Pools couple only through memory (checked afterwards), so each
-        # pool replays independently.  The common case -- a pool that
-        # never holds more than two live sandboxes at once -- fits a
-        # two-slot recursion (a slot is warm-reusable iff ``e <= t <
-        # e + ttl``, LIFO picks the later-idled slot, cold starts land
-        # in a non-busy slot), which runs here as a lockstep scan
-        # vectorised *across* pools, one rank at a time.  A pool that
-        # sees an arrival while both slots are busy (or starts with
-        # more than two carried rows) is flagged complex and resumes in
-        # the exact heap-and-deque loop from its frozen state.
-        cold_arr = np.zeros(n, np.bool_)
-        end_new = np.empty(n, np.float64)
-        reuse_src_arr = np.full(n, -1, np.int64)
+        b_gid = ob_node * n_words + ob_code
+        i_gid = oi_node * n_words + oi_code
+        reuse_src_arr, n_pools = self._pool_reuses(
+            ts, gid, svc_req, cstart, ttl, seq0,
+            (ob_end, ob_seq, b_gid), (oi_from, oi_order, oi_xa, i_gid),
+        )
+        cold_arr = reuse_src_arr < 0
         reused_arr = np.zeros(n + nb + nc, np.bool_)
-
-        order = _group_stable(gid)
-        g_sorted = gid[order]
-        head = np.empty(n, np.bool_)
-        head[0] = True
-        np.not_equal(g_sorted[1:], g_sorted[:-1], out=head[1:])
-        pool_start = np.nonzero(head)[0]
-        pool_gids = g_sorted[pool_start]
-        pool_len = np.diff(np.append(pool_start, n))
-        n_pools = int(pool_gids.size)
-
-        # slot state: completion/idle-from time, heap tie, source row
-        e1 = np.full(n_pools, -np.inf, np.float64)
-        q1 = np.zeros(n_pools, np.int64)
-        s1 = np.full(n_pools, -1, np.int64)
-        e2 = np.full(n_pools, -np.inf, np.float64)
-        q2 = np.zeros(n_pools, np.int64)
-        s2 = np.full(n_pools, -1, np.int64)
-        carried_ct = np.zeros(n_pools, np.int64)
-        cr_pos_parts: list[npt.NDArray[np.int64]] = []
-        cr_e_parts: list[npt.NDArray[np.float64]] = []
-        cr_q_parts: list[npt.NDArray[np.int64]] = []
-        cr_s_parts: list[npt.NDArray[np.int64]] = []
-        if nb:
-            bg = ob_node * n_words + ob_code
-            bpos = np.minimum(
-                np.searchsorted(pool_gids, bg), n_pools - 1
-            )
-            b_in = pool_gids[bpos] == bg
-            np.add.at(carried_ct, bpos[b_in], 1)
-            cr_pos_parts.append(bpos[b_in])
-            cr_e_parts.append(ob_end[b_in])
-            cr_q_parts.append(ob_seq[b_in])
-            cr_s_parts.append(n + np.nonzero(b_in)[0])
-        if nc:
-            ig = oi_node * n_words + oi_code
-            ipos = np.minimum(
-                np.searchsorted(pool_gids, ig), n_pools - 1
-            )
-            i_in = pool_gids[ipos] == ig
-            np.add.at(carried_ct, ipos[i_in], 1)
-            # the stored expiry is bitwise ``from + ttl`` (ttl-compat is
-            # an eligibility condition), so carrying ``from`` suffices
-            cr_pos_parts.append(ipos[i_in])
-            cr_e_parts.append(oi_from[i_in])
-            cr_q_parts.append(oi_order[i_in])
-            cr_s_parts.append(n + nb + np.nonzero(i_in)[0])
-        if cr_pos_parts:
-            cr_pos = np.concatenate(cr_pos_parts)
-            cr_e = np.concatenate(cr_e_parts)
-            cr_q = np.concatenate(cr_q_parts)
-            cr_s = np.concatenate(cr_s_parts)
-            co = np.argsort(cr_pos, kind="stable")
-            ps = cr_pos[co]
-            first = np.empty(ps.size, np.bool_)
-            if ps.size:
-                first[0] = True
-                np.not_equal(ps[1:], ps[:-1], out=first[1:])
-            occ = np.arange(ps.size, dtype=np.int64)
-            occ -= np.maximum.accumulate(np.where(first, occ, 0))
-            fill1 = co[occ == 0]
-            e1[cr_pos[fill1]] = cr_e[fill1]
-            q1[cr_pos[fill1]] = cr_q[fill1]
-            s1[cr_pos[fill1]] = cr_s[fill1]
-            fill2 = co[occ == 1]
-            e2[cr_pos[fill2]] = cr_e[fill2]
-            q2[cr_pos[fill2]] = cr_q[fill2]
-            s2[cr_pos[fill2]] = cr_s[fill2]
-
-        # longest pools first, so the active set at rank r is a prefix
-        po = np.argsort(-pool_len, kind="stable")
-        d_start = pool_start[po]
-        d_len = pool_len[po]
-        e1, q1, s1 = e1[po], q1[po], s1[po]
-        e2, q2, s2 = e2[po], q2[po], s2[po]
-        complex_d = (carried_ct > 2)[po]
-        # rank at which a pool froze: its earlier decisions stand and
-        # the exact loop resumes there from the frozen slot state;
-        # -1 + complex means replay from rank 0 off the carried rows
-        flag_rank_d = np.full(n_pools, -1, np.int64)
-        max_len = int(d_len[0]) if n_pools else 0
-        ranks = np.arange(max_len, dtype=np.int64)
-        active_at = np.searchsorted(-d_len, -(ranks + 1), side="right")
-        warm_k_parts: list[npt.NDArray[np.int64]] = []
-        warm_src_parts: list[npt.NDArray[np.int64]] = []
-        for r in range(max_len):
-            m = int(active_at[r])
-            if m < 32:
-                # too few pools left to amortise a vector step: hand
-                # their remaining ranks to the exact loop wholesale
-                fresh = ~complex_d[:m]
-                flag_rank_d[:m][fresh] = r
-                complex_d[:m] = True
-                break
-            k_idx = order[d_start[:m] + r]
-            t = ts[k_idx]
-            a1, a2 = e1[:m], e2[:m]
-            b1 = t < a1
-            b2 = t < a2
-            l1 = ~b1 & (t < a1 + ttl)
-            l2 = ~b2 & (t < a2 + ttl)
-            warm = l1 | l2
-            # LIFO: reuse the later-idled live slot (tie on heap seq)
-            gt2 = (a2 > a1) | ((a2 == a1) & (q2[:m] > q1[:m]))
-            pick2 = l2 & (~l1 | gt2)
-            pick1 = warm & ~pick2
-            # cold starts land in a non-busy (empty or expired) slot
-            place1 = ~warm & ~b1
-            place2 = ~warm & b1 & ~b2
-            overflow = ~(warm | place1 | place2)
-            if bool(overflow.any()):
-                newly = overflow & ~complex_d[:m]
-                flag_rank_d[:m][newly] = r
-                complex_d[:m] |= overflow
-            svc = svc_req[k_idx]
-            endv = np.where(warm, t + svc, cstart[k_idx] + svc)
-            end_new[k_idx] = endv
-            cold_arr[k_idx] = ~warm
-            frozen = complex_d[:m]
-            masked = bool(frozen.any())
-            if masked:
-                warm &= ~frozen
-            w = np.nonzero(warm)[0]
-            if w.size:
-                warm_k_parts.append(k_idx[w])
-                warm_src_parts.append(  # pre-update sources
-                    np.where(pick2[w], s2[w], s1[w])
-                )
-            upd1 = pick1 | place1
-            upd2 = pick2 | place2
-            if masked:
-                upd1 &= ~frozen
-                upd2 &= ~frozen
-            qv = seq0 + k_idx
-            np.copyto(a1, endv, where=upd1)
-            np.copyto(q1[:m], qv, where=upd1)
-            np.copyto(s1[:m], k_idx, where=upd1)
-            np.copyto(a2, endv, where=upd2)
-            np.copyto(q2[:m], qv, where=upd2)
-            np.copyto(s2[:m], k_idx, where=upd2)
-
-        if warm_k_parts:
-            # pre-freeze decisions are exact, so every recorded reuse
-            # stands (freezing suppresses marks from the frozen rank on)
-            wk = np.concatenate(warm_k_parts)
-            ws = np.concatenate(warm_src_parts)
-            reuse_src_arr[wk] = ws
-            reused_arr[ws] = True
-        if bool(complex_d.any()):
-            self._replay_complex_pools(
-                order, d_start, d_len, complex_d, flag_rank_d,
-                (e1, q1, s1), (e2, q2, s2), g_sorted, ts, gid, svc_req,
-                cstart, ttl, seq0, n, nb, n_words, ob_end, ob_seq,
-                ob_node, ob_code, oi_from, oi_xa, oi_order, oi_node,
-                oi_code, cold_arr, end_new, reuse_src_arr, reused_arr,
-            )
+        reused_arr[reuse_src_arr[~cold_arr]] = True
+        start_vec = np.where(cold_arr, cstart, ts)
+        end_new = start_vec + svc_req
         sub = np.arange(n, dtype=np.int64)
 
         # completions this slab can observe: new + carried busy
@@ -1529,7 +1343,7 @@ class FaaSCluster:
             comp_end = np.concatenate((end_new, ob_end))
             comp_tie = np.concatenate((seq0 + sub, ob_seq))
             comp_node = np.concatenate((node_idx, ob_node))
-            comp_gid = np.concatenate((gid, ob_node * n_words + ob_code))
+            comp_gid = np.concatenate((gid, b_gid))
             comp_mem = np.concatenate((req_mem, ob_mem))
             comp_code = np.concatenate((codes, ob_code))
             comp_src = np.concatenate(
@@ -1567,9 +1381,7 @@ class FaaSCluster:
             p_xa = np.concatenate((proc_end + ttl, oi_xa))
             p_exp = np.concatenate((exp_seq_proc, oi_seq))
             p_node = np.concatenate((comp_node[proc_idx], oi_node))
-            p_gid = np.concatenate(
-                (comp_gid[proc_idx], oi_node * n_words + oi_code)
-            )
+            p_gid = np.concatenate((comp_gid[proc_idx], i_gid))
             p_mem = np.concatenate((comp_mem[proc_idx], oi_mem))
             p_code = np.concatenate((comp_code[proc_idx], oi_code))
             p_order = np.concatenate((comp_end_seq[proc_idx], oi_order))
@@ -1680,7 +1492,6 @@ class FaaSCluster:
         self._seq_n += n + np_proc
         self._sandbox_n += int(cold_arr.sum())
         self._clock = last_t
-        start_vec = np.where(cold_arr, cstart, ts)
         self._store.extend(
             self._store_codes()[codes], self._node_ids()[node_idx],
             ts, start_vec, end_new, cold=cold_arr, ok=True,
@@ -1716,6 +1527,190 @@ class FaaSCluster:
         else:
             self._tail = None
         return True
+
+    def _pool_reuses(
+        self,
+        ts: npt.NDArray[np.float64],
+        gid: npt.NDArray[np.int64],
+        svc_req: npt.NDArray[np.float64],
+        cstart: npt.NDArray[np.float64],
+        ttl: float,
+        seq0: int,
+        busy: tuple[
+            npt.NDArray[np.float64],
+            npt.NDArray[np.int64],
+            npt.NDArray[np.int64],
+        ],
+        idle: tuple[
+            npt.NDArray[np.float64],
+            npt.NDArray[np.int64],
+            npt.NDArray[np.float64],
+            npt.NDArray[np.int64],
+        ],
+    ) -> tuple[npt.NDArray[np.int64], int]:
+        """Each row's warm-reuse source in a fixed positive-TTL slab (-1
+        for a cold start), plus the slab's pool count.  ``gid`` names
+        each row's ``(node, workload)`` pool; ``busy`` holds the carried
+        busy rows (end, heap tie, pool) and ``idle`` the carried idle
+        rows (idled-at, append order, expiry, pool)."""
+        # Pools couple only through memory (checked afterwards), so each
+        # pool replays independently.  The common case -- a pool that
+        # never holds more than two live sandboxes at once -- fits a
+        # two-slot recursion (a slot is warm-reusable iff ``e <= t <
+        # e + ttl``, LIFO picks the later-idled slot, cold starts land
+        # in a non-busy slot), which runs here as a lockstep scan
+        # vectorised *across* pools, one rank at a time.  A pool that
+        # sees an arrival while both slots are busy, starts with more
+        # than two carried rows, or is still active once too few pools
+        # remain to amortise a vector step is *complex*: its scan
+        # decisions are void and the exact heap-and-deque loop replays
+        # it from its first arrival.
+        n = int(ts.size)
+        ob_end, ob_seq, b_gid = busy
+        oi_from, oi_order, oi_xa, i_gid = idle
+        nb, nc = int(ob_end.size), int(oi_from.size)
+
+        order = _group_stable(gid)
+        g_sorted = gid[order]
+        head = np.empty(n, np.bool_)
+        head[0] = True
+        np.not_equal(g_sorted[1:], g_sorted[:-1], out=head[1:])
+        pool_start = np.nonzero(head)[0]
+        pool_gids = g_sorted[pool_start]
+        pool_len = np.diff(np.append(pool_start, n))
+        n_pools = int(pool_gids.size)
+
+        # slot state: completion/idle-from time, heap tie, source row
+        e1 = np.full(n_pools, -np.inf, np.float64)
+        q1 = np.zeros(n_pools, np.int64)
+        s1 = np.full(n_pools, -1, np.int64)
+        e2 = np.full(n_pools, -np.inf, np.float64)
+        q2 = np.zeros(n_pools, np.int64)
+        s2 = np.full(n_pools, -1, np.int64)
+        carried_ct = np.zeros(n_pools, np.int64)
+        cr_pos_parts: list[npt.NDArray[np.int64]] = []
+        cr_e_parts: list[npt.NDArray[np.float64]] = []
+        cr_q_parts: list[npt.NDArray[np.int64]] = []
+        cr_s_parts: list[npt.NDArray[np.int64]] = []
+        if nb:
+            bpos = np.minimum(
+                np.searchsorted(pool_gids, b_gid), n_pools - 1
+            )
+            b_in = pool_gids[bpos] == b_gid
+            np.add.at(carried_ct, bpos[b_in], 1)
+            cr_pos_parts.append(bpos[b_in])
+            cr_e_parts.append(ob_end[b_in])
+            cr_q_parts.append(ob_seq[b_in])
+            cr_s_parts.append(n + np.nonzero(b_in)[0])
+        if nc:
+            ipos = np.minimum(
+                np.searchsorted(pool_gids, i_gid), n_pools - 1
+            )
+            i_in = pool_gids[ipos] == i_gid
+            np.add.at(carried_ct, ipos[i_in], 1)
+            # the stored expiry is bitwise ``from + ttl`` (ttl-compat is
+            # an eligibility condition), so carrying ``from`` suffices
+            cr_pos_parts.append(ipos[i_in])
+            cr_e_parts.append(oi_from[i_in])
+            cr_q_parts.append(oi_order[i_in])
+            cr_s_parts.append(n + nb + np.nonzero(i_in)[0])
+        if cr_pos_parts:
+            cr_pos = np.concatenate(cr_pos_parts)
+            cr_e = np.concatenate(cr_e_parts)
+            cr_q = np.concatenate(cr_q_parts)
+            cr_s = np.concatenate(cr_s_parts)
+            co = np.argsort(cr_pos, kind="stable")
+            ps = cr_pos[co]
+            first = np.empty(ps.size, np.bool_)
+            if ps.size:
+                first[0] = True
+                np.not_equal(ps[1:], ps[:-1], out=first[1:])
+            occ = np.arange(ps.size, dtype=np.int64)
+            occ -= np.maximum.accumulate(np.where(first, occ, 0))
+            fill1 = co[occ == 0]
+            e1[cr_pos[fill1]] = cr_e[fill1]
+            q1[cr_pos[fill1]] = cr_q[fill1]
+            s1[cr_pos[fill1]] = cr_s[fill1]
+            fill2 = co[occ == 1]
+            e2[cr_pos[fill2]] = cr_e[fill2]
+            q2[cr_pos[fill2]] = cr_q[fill2]
+            s2[cr_pos[fill2]] = cr_s[fill2]
+
+        # longest pools first, so the active set at rank r is a prefix
+        po = np.argsort(-pool_len, kind="stable")
+        d_start = pool_start[po]
+        d_len = pool_len[po]
+        e1, q1, s1 = e1[po], q1[po], s1[po]
+        e2, q2, s2 = e2[po], q2[po], s2[po]
+        complex_d = (carried_ct > 2)[po]
+        max_len = int(d_len[0]) if n_pools else 0
+        ranks = np.arange(max_len, dtype=np.int64)
+        active_at = np.searchsorted(-d_len, -(ranks + 1), side="right")
+        # warm decisions per rank (consumer row, source row), scattered
+        # once after the scan
+        warm_k_parts: list[npt.NDArray[np.int64]] = []
+        warm_src_parts: list[npt.NDArray[np.int64]] = []
+        for r in range(max_len):
+            m = int(active_at[r])
+            if m < 32:  # too few pools left to amortise a vector step
+                complex_d[:m] = True
+                break
+            k_idx = order[d_start[:m] + r]
+            t = ts[k_idx]
+            a1, a2 = e1[:m], e2[:m]
+            b1 = t < a1
+            b2 = t < a2
+            l1 = ~b1 & (t < a1 + ttl)
+            l2 = ~b2 & (t < a2 + ttl)
+            warm = l1 | l2
+            # LIFO: reuse the later-idled live slot (tie on heap seq)
+            gt2 = (a2 > a1) | ((a2 == a1) & (q2[:m] > q1[:m]))
+            pick2 = l2 & (~l1 | gt2)
+            pick1 = warm & ~pick2
+            # cold starts land in a non-busy (empty or expired) slot
+            place1 = ~warm & ~b1
+            place2 = ~warm & b1 & ~b2
+            overflow = ~(warm | place1 | place2)
+            if bool(overflow.any()):
+                complex_d[:m] |= overflow
+            endv = np.where(warm, t, cstart[k_idx]) + svc_req[k_idx]
+            w = np.nonzero(warm)[0]
+            if w.size:
+                warm_k_parts.append(k_idx[w])
+                warm_src_parts.append(  # pre-update sources
+                    np.where(pick2[w], s2[w], s1[w])
+                )
+            upd1 = pick1 | place1
+            upd2 = pick2 | place2
+            qv = seq0 + k_idx
+            np.copyto(a1, endv, where=upd1)
+            np.copyto(q1[:m], qv, where=upd1)
+            np.copyto(s1[:m], k_idx, where=upd1)
+            np.copyto(a2, endv, where=upd2)
+            np.copyto(q2[:m], qv, where=upd2)
+            np.copyto(s2[:m], k_idx, where=upd2)
+
+        reuse_src = np.full(n, -1, np.int64)
+        if warm_k_parts:
+            reuse_src[np.concatenate(warm_k_parts)] = np.concatenate(
+                warm_src_parts
+            )
+        cx = np.nonzero(complex_d)[0]
+        if cx.size:
+            # the complex pools' rows, pool by pool, in arrival order;
+            # the exact decision for every one of them overwrites the
+            # scan's void one
+            cx_len = d_len[cx]
+            offs = np.cumsum(cx_len) - cx_len
+            cx_rows = order[
+                np.repeat(d_start[cx] - offs, cx_len)
+                + np.arange(int(offs[-1] + cx_len[-1]), dtype=np.int64)
+            ]
+            reuse_src[cx_rows] = self._replay_complex_pools(
+                cx_rows, cx_len, g_sorted[d_start[cx]], ts, svc_req,
+                cstart, ttl, seq0, busy, idle,
+            )
+        return reuse_src, n_pools
 
     def _bulk_busy_ok(
         self,
@@ -1864,144 +1859,88 @@ class FaaSCluster:
 
     def _replay_complex_pools(
         self,
-        order: npt.NDArray[np.int64],
-        d_start: npt.NDArray[np.int64],
-        d_len: npt.NDArray[np.int64],
-        complex_d: npt.NDArray[np.bool_],
-        flag_rank_d: npt.NDArray[np.int64],
-        slot1: tuple[
-            npt.NDArray[np.float64],
-            npt.NDArray[np.int64],
-            npt.NDArray[np.int64],
-        ],
-        slot2: tuple[
-            npt.NDArray[np.float64],
-            npt.NDArray[np.int64],
-            npt.NDArray[np.int64],
-        ],
-        g_sorted: npt.NDArray[np.int64],
+        rows: npt.NDArray[np.int64],
+        pool_len: npt.NDArray[np.int64],
+        pool_gid: npt.NDArray[np.int64],
         ts: npt.NDArray[np.float64],
-        gid: npt.NDArray[np.int64],
         svc_req: npt.NDArray[np.float64],
         cstart: npt.NDArray[np.float64],
         ttl: float,
         seq0: int,
-        n: int,
-        nb: int,
-        n_words: int,
-        ob_end: npt.NDArray[np.float64],
-        ob_seq: npt.NDArray[np.int64],
-        ob_node: npt.NDArray[np.int64],
-        ob_code: npt.NDArray[np.int64],
-        oi_from: npt.NDArray[np.float64],
-        oi_xa: npt.NDArray[np.float64],
-        oi_order: npt.NDArray[np.int64],
-        oi_node: npt.NDArray[np.int64],
-        oi_code: npt.NDArray[np.int64],
-        cold_arr: npt.NDArray[np.bool_],
-        end_new: npt.NDArray[np.float64],
-        reuse_src_arr: npt.NDArray[np.int64],
-        reused_arr: npt.NDArray[np.bool_],
-    ) -> None:
+        busy: tuple[
+            npt.NDArray[np.float64],
+            npt.NDArray[np.int64],
+            npt.NDArray[np.int64],
+        ],
+        idle: tuple[
+            npt.NDArray[np.float64],
+            npt.NDArray[np.int64],
+            npt.NDArray[np.float64],
+            npt.NDArray[np.int64],
+        ],
+    ) -> npt.NDArray[np.int64]:
         """Exact heap-and-deque replay of the *complex* pools -- the
-        ones the lockstep scan could not carry because three sandboxes
-        were live at once.  Pools are independent, so each replays only
-        its own requests in arrival order.  A pool flagged mid-scan
-        (``flag_rank >= 0``) resumes from its frozen two-slot state --
-        the scan's earlier decisions stand; a pool complex from the
-        start (more than two carried rows) replays from rank 0 off the
-        carried arrays."""
+        ones the lockstep scan could not carry.  ``rows`` holds each
+        pool's arrivals in arrival order, pool after pool (``pool_len``
+        rows each); every pool replays from its first arrival with a
+        local busy heap and idle deque, seeded only from the carried
+        ``busy`` (end, heap tie, pool) and ``idle`` (idled-at, append
+        order, expiry, pool) rows.  Returns each row's warm-reuse
+        source, -1 for a cold start."""
+        b_end, b_seq, b_gid = busy
+        _, _, i_xa, i_gid = idle
+        n, nb = int(ts.size), int(b_end.size)
         busy_g: dict[int, list[tuple[float, int, int]]] = {}
-        idle_g: dict[int, deque[tuple[float, int, int, float]]] = {}
-        parts: list[npt.NDArray[np.int64]] = []
-        cat_a = np.nonzero(complex_d & (flag_rank_d < 0))[0]
-        cat_b = np.nonzero(flag_rank_d >= 0)[0]
-        if cat_a.size:
-            gids_a = set(g_sorted[d_start[cat_a]].tolist())
-            for p in cat_a.tolist():
-                parts.append(order[d_start[p]:d_start[p] + d_len[p]])
-            if nb:
-                for r, (e, q, g) in enumerate(zip(
-                    ob_end.tolist(), ob_seq.tolist(),
-                    (ob_node * n_words + ob_code).tolist(),
-                )):
-                    if g in gids_a:
-                        busy_g.setdefault(g, []).append((e, q, n + r))
-                for h in busy_g.values():
-                    heapq.heapify(h)
-            if oi_from.size:
-                # idle rows are stored sorted by (pool, idled-at,
-                # append sequence) == stack append order: plain appends
-                # rebuild each deque exactly
-                for r, (f0, o_ord, g, xa) in enumerate(zip(
-                    oi_from.tolist(), oi_order.tolist(),
-                    (oi_node * n_words + oi_code).tolist(),
-                    oi_xa.tolist(),
-                )):
-                    if g not in gids_a:
-                        continue
-                    dq0 = idle_g.get(g)
-                    if dq0 is None:
-                        dq0 = idle_g[g] = deque()
-                    dq0.append((f0, o_ord, n + nb + r, xa))
-        if cat_b.size:
-            # frozen pools hold at most two sandboxes; seeding them
-            # busy is exact even if idle or expired -- the loop's lazy
-            # transfer and pruning replay the same (time, tie, expiry)
-            e1, q1, s1 = slot1
-            e2, q2, s2 = slot2
-            gbs = g_sorted[d_start[cat_b]].tolist()
-            for p, g, ea, qa, sa, eb, qb, sb, fr in zip(
-                cat_b.tolist(), gbs,
-                e1[cat_b].tolist(), q1[cat_b].tolist(),
-                s1[cat_b].tolist(),
-                e2[cat_b].tolist(), q2[cat_b].tolist(),
-                s2[cat_b].tolist(), flag_rank_d[cat_b].tolist(),
-            ):
-                seed = [(e, q, s) for e, q, s in
-                        ((ea, qa, sa), (eb, qb, sb)) if s >= 0]
-                if seed:
-                    seed.sort()
-                    busy_g[g] = seed
-                parts.append(
-                    order[d_start[p] + fr:d_start[p] + d_len[p]]
-                )
-        k_sub = np.sort(np.concatenate(parts))
-        cold_arr[k_sub] = False
-        heappush, heappop = heapq.heappush, heapq.heappop
-        for k, t, g, sv, cs in zip(
-            k_sub.tolist(), ts[k_sub].tolist(), gid[k_sub].tolist(),
-            svc_req[k_sub].tolist(), cstart[k_sub].tolist(),
+        # an idle sandbox is (expiry, source row)
+        idle_g: dict[int, deque[tuple[float, int]]] = {}
+        sel = np.nonzero(np.isin(b_gid, pool_gid))[0]
+        for g, e, q, src in zip(
+            b_gid[sel].tolist(), b_end[sel].tolist(),
+            b_seq[sel].tolist(), (n + sel).tolist(),
         ):
-            bh = busy_g.get(g)
-            if bh and bh[0][0] <= t:
-                dq = idle_g.get(g)
-                if dq is None:
-                    dq = idle_g[g] = deque()
+            busy_g.setdefault(g, []).append((e, q, src))
+        # idle rows are stored sorted by (pool, idled-at, append
+        # sequence) == stack append order: plain appends rebuild each
+        # deque exactly
+        sel = np.nonzero(np.isin(i_gid, pool_gid))[0]
+        for g, xa, src in zip(
+            i_gid[sel].tolist(), i_xa[sel].tolist(),
+            (n + nb + sel).tolist(),
+        ):
+            idle_g.setdefault(g, deque()).append((xa, src))
+        heappush, heappop = heapq.heappush, heapq.heappop
+        src_of = np.full(rows.size, -1, np.int64)
+        t_rows, sv_rows, cs_rows = ts[rows], svc_req[rows], cstart[rows]
+        lo = 0
+        for g, ln in zip(pool_gid.tolist(), pool_len.tolist()):
+            hi = lo + ln
+            bh = busy_g.get(g, [])
+            heapq.heapify(bh)
+            dq = idle_g.get(g, deque())
+            # one pool's rows at a time keeps the Python copies small
+            srcs: list[int] = []
+            for k, t, sv, cs in zip(
+                rows[lo:hi].tolist(), t_rows[lo:hi].tolist(),
+                sv_rows[lo:hi].tolist(), cs_rows[lo:hi].tolist(),
+            ):
                 # completions transfer to the idle stack in heap order
                 while bh and bh[0][0] <= t:
-                    e, q, src = heappop(bh)
-                    dq.append((e, q, src, e + ttl))
-            dq = idle_g.get(g)
-            warm = False
-            if dq:
+                    e, _, src = heappop(bh)
+                    dq.append((e + ttl, src))
                 # expiries strictly precede this arrival's processing
-                while dq and dq[0][3] <= t:
+                while dq and dq[0][0] <= t:
                     dq.popleft()
                 if dq:
-                    src = dq.pop()[2]  # LIFO: most recently idled
-                    reused_arr[src] = True
-                    reuse_src_arr[k] = src
-                    warm = True
-            if warm:
-                e = t + sv
-            else:
-                cold_arr[k] = True
-                e = cs + sv
-            end_new[k] = e
-            if bh is None:
-                bh = busy_g[g] = []
-            heappush(bh, (e, seq0 + k, k))
+                    src = dq.pop()[1]  # LIFO: most recently idled
+                    e = t + sv
+                else:
+                    src = -1
+                    e = cs + sv
+                srcs.append(src)
+                heappush(bh, (e, seq0 + k, k))
+            src_of[lo:hi] = srcs
+            lo = hi
+        return src_of
 
     def _invoke_loop(
         self,
@@ -2278,11 +2217,6 @@ class FaaSCluster:
                             workload_id)
             service_s = dilated
             node.cpu_weight += w
-        elif self.cores_per_node is not None:
-            # oversubscription slowdown, fixed at admission time
-            concurrent = node.busy_count + 1
-            if concurrent > self.cores_per_node:
-                service_s *= concurrent / self.cores_per_node
         end = start + service_s
         ok = True
         if self.fault_hook is not None:
@@ -2381,14 +2315,14 @@ def iter_trace_slabs(
     *,
     chunk_rows: int = 65_536,
 ) -> Iterator[tuple[npt.NDArray[np.float64], Sequence[str]]]:
-    """Slice one materialised trace into bounded slabs for
-    :meth:`FaaSCluster.invoke_chunked`.
+    """Slice one materialised trace into bounded slabs, each submitted
+    with one :meth:`FaaSCluster.invoke_many`.
 
     Timestamp slabs are zero-copy views; workload-id slabs are list
     slices.  Mostly useful for tests and for replaying traces that are
     already in memory -- a generator reading a trace file directly (one
-    slab per read) plugs into ``invoke_chunked`` the same way without
-    ever materialising the whole trace.
+    slab per read) feeds ``invoke_many`` the same way without ever
+    materialising the whole trace.
     """
     if chunk_rows <= 0:
         raise ValueError("chunk_rows must be positive")

@@ -185,7 +185,10 @@ class TestFaultyBackend:
             elif mode == "bulk":
                 fb.invoke_many(ts, wids)
             else:
-                fb.invoke_chunked(iter_trace_slabs(ts, wids, chunk_rows=7))
+                for slab_ts, slab_wids in iter_trace_slabs(
+                    ts, wids, chunk_rows=7
+                ):
+                    fb.invoke_many(slab_ts, slab_wids)
             return (fb._rng.bit_generator.state, dict(fb.injected),
                     fb.drain())
 
@@ -198,12 +201,11 @@ class TestFaultyBackend:
         assert injected_s["spike"] > 0
 
     def test_chunked_cannot_bypass_gauntlet(self):
-        """invoke_chunked must inject even though the inner cluster also
-        defines invoke_chunked (no __getattr__ forwarding)."""
+        """A chunked replay must inject even though the inner cluster
+        also defines invoke_many (no __getattr__ forwarding)."""
         fb = FaultyBackend(make_cluster(), FaultProfile(error_rate=1.0))
         with pytest.raises(InvocationFault):
-            fb.invoke_chunked(iter_trace_slabs(
-                np.array([0.0]), ["w"], chunk_rows=1))
+            replay(make_trace(n=1), fb, chunk_rows=1)
         assert fb.injected["error"] == 1
 
 

@@ -224,9 +224,10 @@ def check_chunk_size_invariance(seed, n, crash):
         if chunk_rows is None:
             cluster.invoke_many(ts, wids)
         else:
-            cluster.invoke_chunked(
-                iter_trace_slabs(ts, wids, chunk_rows=chunk_rows)
-            )
+            for slab_ts, slab_wids in iter_trace_slabs(
+                ts, wids, chunk_rows=chunk_rows
+            ):
+                cluster.invoke_many(slab_ts, slab_wids)
         return (
             cluster.drain(),
             cluster.clock_s,

@@ -15,7 +15,6 @@ from repro.platform import (
     RecordColumns,
     WorkloadProfile,
     summarize,
-    summarize_columns,
 )
 
 
@@ -169,7 +168,6 @@ class TestRecordColumns:
         cols = self._columns(("a", "b"), 5)
         records = cols.to_records()
         assert summarize(cols) == summarize(records)
-        assert summarize_columns(cols) == summarize(records)
         with pytest.raises(ValueError, match="no records"):
             summarize(RecordColumns.from_records([]))
 

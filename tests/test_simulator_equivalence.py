@@ -34,7 +34,6 @@ from repro.platform import (
     WorkloadProfile,
     iter_trace_slabs,
     summarize,
-    summarize_columns,
 )
 
 SEEDS = (0, 1, 2)
@@ -88,7 +87,8 @@ def submit(cluster, ts, wids, mode):
             cluster.invoke(t, w)
     elif mode.startswith("chunked"):
         chunk = int(mode.split("-")[1])
-        cluster.invoke_chunked(iter_trace_slabs(ts, wids, chunk_rows=chunk))
+        for slab_ts, slab_wids in iter_trace_slabs(ts, wids, chunk_rows=chunk):
+            cluster.invoke_many(slab_ts, slab_wids)
     else:
         raise ValueError(mode)
 
@@ -203,7 +203,7 @@ def test_equivalence_queue_pressure_and_drops(seed):
             node_memory_mb=640.0,
             keepalive=NoKeepAlive(),
             queue_timeout_s=1.0,
-            cores_per_node=2,
+            cpu=CpuModel(cores=2),
         ),
     )
     assert ref["dropped"], "config must actually exercise drops"
@@ -447,6 +447,55 @@ def test_zero_ttl_fixed_keepalive_is_bulk_teardown(mode):
     assert_equivalent(ts, wids, make_kwargs, mode=mode)
 
 
+def _observed_state(cluster):
+    """Records, clock, and per-node (memory, busy, idle) so far.  The
+    array engine keeps a slab's warm sandboxes in its bulk carry until
+    scalar traffic materialises them, so those count as idle too."""
+    idle = [n.idle_count for n in cluster.nodes]
+    tail = getattr(cluster, "_tail", None)
+    if tail is not None:
+        for b in tail.idle_node.tolist():
+            idle[b] += 1
+    return (
+        list(cluster.records),
+        cluster.clock_s,
+        [
+            (n.used_memory_mb, n.busy_count, k)
+            for n, k in zip(cluster.nodes, idle)
+        ],
+    )
+
+
+def _complex_pool_steps():
+    """Slab, one scalar request, slab: 64 single-node pools with
+    multi-second runtimes, so many pools hold three live sandboxes while
+    the lockstep scan is still vectorised (>= 32 pools active).  Those
+    pools' scan decisions must be voided and replayed exactly; a wrong
+    reuse shows only in the post-slab idle carry."""
+    profiles = {
+        f"d{i}": WorkloadProfile(
+            f"d{i}", runtime_ms=600.0 + 97.0 * (i % 41), memory_mb=32.0
+        )
+        for i in range(64)
+    }
+    rng = np.random.default_rng(21)
+    ts = np.sort(rng.uniform(0.0, 12.0, 900))
+    wids = [f"d{int(i)}" for i in rng.integers(0, 64, 900)]
+
+    def build(cls):
+        return cls(
+            profiles, n_nodes=1, node_memory_mb=65536.0,
+            keepalive=FixedKeepAlive(2.0),
+        )
+
+    steps = [
+        ("slab", ts[:450], wids[:450]),
+        ("scalar", ts[450:451], wids[450:451]),
+        ("slab", ts[451:], wids[451:]),
+    ]
+    return build, steps
+
+
 def test_keepalive_tail_interleaves_with_scalar_traffic():
     """Scalar traffic after a keep-alive slab must see the carried warm
     sandboxes (reuse, LRU eviction order, pending expiries) exactly as
@@ -462,23 +511,36 @@ def test_keepalive_tail_interleaves_with_scalar_traffic():
             service_time_cv=0.4, seed=9,
         )
 
-    ref, vec = build(ObjectFaaSCluster), build(FaaSCluster)
-    for t, w in zip(ts[:half].tolist(), wids[:half]):
-        ref.invoke(t, w)
-    vec.invoke_many(ts[:half], wids[:half])
-    assert vec._tail is not None and vec._tail.idle_from.size > 0, (
-        "slab must leave warm sandboxes behind for this test to bite"
-    )
-    for t, w in zip(ts[half:].tolist(), wids[half:]):
-        ref.invoke(t, w)
-        vec.invoke(t, w)
-    assert vec.drain() == ref.drain()
-    assert vec.clock_s == ref.clock_s
-    assert [
-        (n.used_memory_mb, n.busy_count, n.idle_count) for n in vec.nodes
-    ] == [
-        (n.used_memory_mb, n.busy_count, n.idle_count) for n in ref.nodes
+    inputs = [
+        (build, [("slab", ts[:half], wids[:half]),
+                 ("scalar", ts[half:], wids[half:])]),
+        _complex_pool_steps(),
     ]
+    for build, steps in inputs:
+        ref, vec = build(ObjectFaaSCluster), build(FaaSCluster)
+        for i, (kind, step_ts, step_wids) in enumerate(steps):
+            if kind == "slab":
+                vec.invoke_many(step_ts, step_wids)
+            for t, w in zip(step_ts.tolist(), step_wids):
+                ref.invoke(t, w)
+                if kind == "scalar":
+                    vec.invoke(t, w)
+            if i == 0:
+                tail = vec._tail
+                assert tail is not None and tail.idle_from.size > 0, (
+                    "slab must leave warm sandboxes behind for this test "
+                    "to bite"
+                )
+            assert _observed_state(vec) == _observed_state(ref), kind
+        assert vec.drain() == ref.drain()
+        assert vec.clock_s == ref.clock_s
+        assert [
+            (n.used_memory_mb, n.busy_count, n.idle_count)
+            for n in vec.nodes
+        ] == [
+            (n.used_memory_mb, n.busy_count, n.idle_count)
+            for n in ref.nodes
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +654,7 @@ def test_drain_columns_and_summaries_match_object_engine():
 
     assert cols.to_records() == ref_records
     assert cols.workload_ids() == [r.workload_id for r in ref_records]
-    assert summarize_columns(cols) == summarize(ref_records)
+    assert summarize(cols) == summarize(ref_records)
     assert len(cols) == len(ref_records)
 
 
@@ -726,10 +788,8 @@ def test_faulty_backend_bulk_matches_scalar_draw_stream(mode):
             fb.invoke_many(ts, wids)
         else:
             third = len(wids) // 3
-            fb.invoke_chunked([
-                (ts[:third], wids[:third]),
-                (ts[third:], wids[third:]),
-            ])
+            fb.invoke_many(ts[:third], wids[:third])
+            fb.invoke_many(ts[third:], wids[third:])
         return inner.calls, dict(fb.injected), fb._rng.bit_generator.state
 
     ref_calls, ref_injected, ref_state = run("scalar")
@@ -796,7 +856,8 @@ def test_live_backend_bulk_matches_scalar(mode):
     if mode == "bulk":
         got.invoke_many(ts, wids)
     else:
-        got.invoke_chunked([(ts[:2], wids[:2]), (ts[2:], wids[2:])])
+        got.invoke_many(ts[:2], wids[:2])
+        got.invoke_many(ts[2:], wids[2:])
 
     def key(records):
         return [(r.workload_id, r.node, r.arrival_s, r.start_s, r.cold,
@@ -983,19 +1044,6 @@ def test_cpu_weight_returns_to_zero_after_drain(cls):
     for node in cluster.nodes:
         assert node.cpu_weight == 0.0
         assert node.busy_count == 0
-
-
-def test_cpu_and_cores_per_node_are_mutually_exclusive():
-    for cls in (ObjectFaaSCluster, FaaSCluster):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            cls(
-                make_profiles(),
-                n_nodes=1,
-                node_memory_mb=1024.0,
-                keepalive=NoKeepAlive(),
-                cores_per_node=2,
-                cpu=CpuModel(cores=2, policy=FifoCpu()),
-            )
 
 
 def test_cpu_contended_trace_event_matches_engines():
