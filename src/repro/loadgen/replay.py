@@ -329,13 +329,15 @@ def replay(
     resilient = (retry is not None or breaker is not None
                  or checkpoint_path is not None)
     # hoist per-request conversions out of the hot loop: one vectorised
-    # pass instead of n_requests float()/str() calls
-    timestamps = trace.timestamps_s.tolist()
+    # pass instead of n_requests float()/str() calls.  The batched path
+    # takes the timestamp array as it is, so only the per-request paths
+    # build a float list.
     workload_ids = [str(w) for w in trace.workload_ids.tolist()]
     if resilient:
         result = _replay_resilient(
-            trace, backend, timestamps, workload_ids, speed=speed,
-            retry=retry, breaker=breaker, checkpoint_path=checkpoint_path,
+            trace, backend, trace.timestamps_s.tolist(), workload_ids,
+            speed=speed, retry=retry, breaker=breaker,
+            checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every, resume=resume, drift=drift,
         )
         reg = _telemetry.active()
@@ -345,6 +347,7 @@ def replay(
     t_start = time.perf_counter()  # repro: allow-wall-clock
     if np.isfinite(speed):
         runtimes = trace.runtimes_ms.tolist() if drift is not None else None
+        timestamps = trace.timestamps_s.tolist()
         for i, (ts, wid) in enumerate(zip(timestamps, workload_ids)):
             # repro: allow-wall-clock (pacer: real time is the point)
             delay = t_start + ts / speed - time.perf_counter()
@@ -369,7 +372,7 @@ def replay(
             batch_invoke(backend, trace.timestamps_s, workload_ids)
         else:
             invoke = backend.invoke
-            for ts, wid in zip(timestamps, workload_ids):
+            for ts, wid in zip(trace.timestamps_s.tolist(), workload_ids):
                 invoke(ts, wid)
         if drift is not None:
             drift.observe_many(trace.runtimes_ms, trace.timestamps_s)

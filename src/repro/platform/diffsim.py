@@ -53,6 +53,7 @@ from repro.platform.simulator_vec import (
     iter_trace_slabs,
 )
 from repro.platform.tracing import PlatformTracer
+from repro.telemetry import registry as _telemetry
 
 __all__ = [
     "FuzzConfig",
@@ -427,10 +428,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--verbose", action="store_true",
                         help="print one line per tuple")
     args = parser.parse_args(argv)
-    failures = fuzz(args.tuples, args.seed, verbose=args.verbose)
+    # the array engine counts what its bulk path committed into the
+    # active registry, so the OK line can say how much of the sweep
+    # compared the bulk path rather than two scalar loops
+    reg = _telemetry.MetricsRegistry()
+    with _telemetry.use(reg):
+        failures = fuzz(args.tuples, args.seed, verbose=args.verbose)
     if not failures:
+        rows = reg.counter("platform_bulk_rows_total").value
+        evictions = reg.counter("platform_bulk_evictions_total").value
         print(f"OK: engines byte-identical on {args.tuples} random "
-              f"configurations (seed {args.seed})")
+              f"configurations (seed {args.seed}); bulk path committed "
+              f"{rows:.0f} rows and modelled {evictions:.0f} LRU "
+              f"evictions")
         return 0
     for cfg, mismatch in failures:
         print(format_reproducer(cfg, mismatch))

@@ -16,9 +16,10 @@ struct-of-arrays storage:
 - **Batched admission**: :meth:`invoke_many` takes a whole
   timestamp-ordered slab of requests.  When the configuration provably
   cannot diverge from the scalar path (see :meth:`_bulk_eligible`), the
-  cold-start, warm-reuse, expiry, completion, and memory transitions of
-  the entire slab are applied with per-pool replay plus one lexsort +
-  cumsum per node instead of one event-heap cycle per request.  The
+  cold-start, warm-reuse, expiry, completion, eviction, and memory
+  transitions of the entire slab are applied with per-pool (or, under
+  memory pressure, per-node) replay plus one lexsort + cumsum per node
+  instead of one event-heap cycle per request.  The
   envelope covers constant keep-alive TTLs (``NoKeepAlive`` and
   ``FixedKeepAlive``), lognormal service-time jitter (one pre-drawn
   array per slab, stream-equal to the scalar draws, rewound on
@@ -28,7 +29,7 @@ struct-of-arrays storage:
   (one :meth:`invoke_many` per slab streams a trace memory-bounded), is
   finalised vectorised at drain, or is materialised into ordinary heap
   events if scalar traffic follows.
-- **Everything else** -- keep-alive LRU stacks, stateful schedulers,
+- **Everything else** -- queued backlogs, stateful schedulers,
   autoscaling, fault hooks, tracing -- runs the exact control flow of
   the reference engine, on the same :class:`~repro.platform.simcore.Node`
   objects, so the cluster-size-bounded control plane stays a faithful
@@ -424,6 +425,29 @@ class _RecordStore:
         )
 
 
+#: Carried rows that seed a keep-alive replay.  Busy: completion time,
+#: end-event heap sequence, pool.  Idle: idled-at, append order, expiry
+#: time, pool.
+_BusySeed = tuple[
+    npt.NDArray[np.float64], npt.NDArray[np.int64], npt.NDArray[np.int64],
+]
+_IdleSeed = tuple[
+    npt.NDArray[np.float64], npt.NDArray[np.int64],
+    npt.NDArray[np.float64], npt.NDArray[np.int64],
+]
+#: What turns a keep-alive replay unit into a whole node: the workload
+#: code of every new, carried busy and carried idle row, the memory per
+#: workload, then each unit's capacity and slab-start used memory.
+_NodeUnits = tuple[
+    npt.NDArray[np.int64], npt.NDArray[np.int64], npt.NDArray[np.int64],
+    list[float], list[float], list[float],
+]
+
+#: Longest slab the bulk path commits in one piece; ``invoke_many``
+#: splits longer ones into consecutive sub-slabs of this many rows.
+_BULK_SLAB_ROWS = 65_536
+
+
 #: Shared empty columns for carries with no idle component (zero TTL).
 _F0 = np.empty(0, np.float64)
 _I0 = np.empty(0, np.int64)
@@ -682,9 +706,18 @@ class FaaSCluster:
             )
         if n == 0:
             return
-        if self._bulk_eligible() and self._bulk_invoke(ts, workload_ids):
-            return
-        self._invoke_loop(ts, workload_ids)
+        # Long slabs commit as consecutive sub-slabs through the bulk
+        # carry (results are invariant to slicing), which bounds the
+        # bulk path's working set; the first sub-slab that does not
+        # commit hands the whole remainder to the scalar loop.
+        lo = 0
+        while lo < n and self._bulk_eligible():
+            hi = min(lo + _BULK_SLAB_ROWS, n)
+            if not self._bulk_invoke(ts[lo:hi], workload_ids[lo:hi]):
+                break
+            lo = hi
+        if lo < n:
+            self._invoke_loop(ts[lo:], workload_ids[lo:])
 
     def drain(self) -> list[InvocationRecord]:
         self._drain_events()
@@ -863,58 +896,30 @@ class FaaSCluster:
             rng_state = self._rng.bit_generator.state
             svc_req = svc_req * self._rng.lognormal(mu, sigma, n)
 
-        if ttl > 0 and old is None and not self._keepalive_may_fit(
-            ts, codes, node_idx, mem, ttl
-        ):
-            ok = False  # provably infeasible: skip the pool replay
-        elif ttl > 0:
-            ok = self._bulk_commit_keepalive(
+        evictions: int | None = 0
+        if ttl > 0:
+            evictions = self._bulk_commit_keepalive(
                 ts, codes, node_idx, mem, coldcost, svc_req, ttl,
                 busy_cap, words, old,
             )
-        else:
-            ok = self._bulk_commit_teardown(
-                ts, codes, node_idx, mem, coldcost, svc_req,
-                busy_cap, words, old,
-            )
-        if not ok:
+        elif not self._bulk_commit_teardown(
+            ts, codes, node_idx, mem, coldcost, svc_req,
+            busy_cap, words, old,
+        ):
+            evictions = None
+        if evictions is None:
             if speculative:
                 cast(BatchScheduler, sched).restore(saved)
             if rng_state is not None:
                 self._rng.bit_generator.state = rng_state
-        return ok
-
-    def _keepalive_may_fit(
-        self,
-        ts: npt.NDArray[np.float64],
-        codes: npt.NDArray[np.int64],
-        node_idx: npt.NDArray[np.int64],
-        mem: npt.NDArray[np.float64],
-        ttl: float,
-    ) -> bool:
-        """Fail-fast bound for a carry-free positive-TTL slab: False
-        only if :meth:`_bulk_commit_keepalive` must reject it.
-
-        Every completion comes at or after its arrival, so no sandbox
-        of the slab expires before ``ts[0] + ttl``; with no carry, the
-        first arrival of each ``(node, workload)`` pool in that window
-        cold-starts a sandbox the node still holds at the window's
-        end.  If a node's used memory plus those sandboxes exceeds its
-        capacity, some admission in the full commit's memory calendar
-        does too.  The relative margin covers the calendar summing the
-        same memory in a different order.
-        """
-        k = int(np.searchsorted(ts, ts[0] + ttl, side="left"))
-        n_words = int(mem.size)
-        pools = np.unique(node_idx[:k] * n_words + codes[:k])
-        need = np.bincount(
-            pools // n_words, weights=mem[pools % n_words],
-            minlength=len(self.nodes),
-        )
-        for node, extra in zip(self.nodes, need.tolist()):
-            if (node.used_memory_mb + extra
-                    > node.memory_capacity_mb * (1.0 + 1e-9)):
-                return False
+            return False
+        reg = _telemetry.active()
+        if reg is not None:
+            reg.counter("platform_bulk_rows_total",
+                        "rows committed by the bulk path").inc(n)
+            reg.counter("platform_bulk_evictions_total",
+                        "LRU evictions modelled by the bulk path"
+                        ).inc(evictions)
         return True
 
     def _store_codes(self) -> npt.NDArray[np.int32]:
@@ -1281,19 +1286,24 @@ class FaaSCluster:
         busy_cap: int | None,
         words: list[str],
         old: _BulkTail | None,
-    ) -> bool:
-        """Fixed positive-TTL slab.
+    ) -> int | None:
+        """Fixed positive-TTL slab: the number of LRU evictions it
+        modelled, or None if the slab must fall back to the scalar loop.
 
-        Warm-versus-cold is decided by replaying each ``(node,
+        Warm-versus-cold is first decided by replaying each ``(node,
         workload)`` idle pool in isolation -- placement is fixed up
-        front, so pools only couple through memory pressure, which is
-        checked vectorised afterwards and falls back to scalar on any
-        overflow (exactly when the scalar engine would evict or queue).
-        Sequence numbers, the memory trajectory, and the carry are then
-        reconstructed in the reference engine's exact event order:
-        every arrival pushes an end event and every in-slab completion
-        pushes an expiry event, so heap sequence numbers interleave and
-        are assigned by a merged sort rather than arithmetic.
+        front, so pools only couple through their node's memory.  The
+        per-node memory calendar then shows where that holds: a node
+        whose calendar never exceeds its capacity evicts nothing, so its
+        pool replays are exact.  Every node whose calendar overflows is
+        replayed once more as one unit, its pools coupled through LRU
+        eviction (:meth:`_replay_exact`), and the calendar is rebuilt
+        with those evictions in it.  Sequence numbers, the memory
+        trajectory, and the carry are reconstructed in the reference
+        engine's exact event order: every arrival pushes an end event
+        and every in-slab completion pushes an expiry event, so heap
+        sequence numbers interleave and are assigned by a merged sort
+        rather than arithmetic.
         """
         n = int(ts.size)
         n_nodes = len(self.nodes)
@@ -1327,129 +1337,174 @@ class FaaSCluster:
         # r -> n + r, carried idle row r -> n + nb + r.
         b_gid = ob_node * n_words + ob_code
         i_gid = oi_node * n_words + oi_code
+        busy = (ob_end, ob_seq, b_gid)
+        idle = (oi_from, oi_order, oi_xa, i_gid)
         reuse_src_arr, n_pools = self._pool_reuses(
-            ts, gid, svc_req, cstart, ttl, seq0,
-            (ob_end, ob_seq, b_gid), (oi_from, oi_order, oi_xa, i_gid),
+            ts, gid, svc_req, cstart, ttl, seq0, busy, idle,
         )
-        cold_arr = reuse_src_arr < 0
-        reused_arr = np.zeros(n + nb + nc, np.bool_)
-        reused_arr[reuse_src_arr[~cold_arr]] = True
-        start_vec = np.where(cold_arr, cstart, ts)
-        end_new = start_vec + svc_req
         sub = np.arange(n, dtype=np.int64)
+        # evicted source, evicting row: none until nodes are coupled
+        ev_src, ev_row = _I0, _I0
+        for coupled in (False, True):
+            cold_arr = reuse_src_arr < 0
+            reused_arr = np.zeros(n + nb + nc, np.bool_)
+            reused_arr[reuse_src_arr[~cold_arr]] = True
+            start_vec = np.where(cold_arr, cstart, ts)
+            end_new = start_vec + svc_req
 
-        # completions this slab can observe: new + carried busy
-        if nb:
-            comp_end = np.concatenate((end_new, ob_end))
-            comp_tie = np.concatenate((seq0 + sub, ob_seq))
-            comp_node = np.concatenate((node_idx, ob_node))
-            comp_gid = np.concatenate((gid, b_gid))
-            comp_mem = np.concatenate((req_mem, ob_mem))
-            comp_code = np.concatenate((codes, ob_code))
-            comp_src = np.concatenate(
-                (sub, n + np.arange(nb, dtype=np.int64))
-            )
-        else:
-            comp_end, comp_tie = end_new, seq0 + sub
-            comp_node, comp_gid = node_idx, gid
-            comp_mem, comp_code, comp_src = req_mem, codes, sub
-        processed = comp_end <= last_t
-        proc_idx = np.nonzero(processed)[0]
-        np_proc = int(proc_idx.size)
-
-        # Heap sequence numbers: every arrival pushes its end event and
-        # every in-slab-processed completion pushes an expiry event, in
-        # merged (time, completion-before-arrival, push order) order.
-        proc_end = comp_end[proc_idx]
-        m_time = np.concatenate((ts, proc_end))
-        m_phase = np.concatenate(
-            (np.ones(n, np.uint8), np.zeros(np_proc, np.uint8))
-        )
-        m_tie = np.concatenate((seq0 + sub, comp_tie[proc_idx]))
-        mo = _event_order(m_time, m_phase, m_tie)
-        seq_assign = np.empty(n + np_proc, np.int64)
-        seq_assign[mo] = seq0 + np.arange(n + np_proc, dtype=np.int64)
-        end_seq_new = seq_assign[:n]
-        exp_seq_proc = seq_assign[n:]
-        comp_end_seq = (
-            np.concatenate((end_seq_new, ob_seq)) if nb else end_seq_new
-        )
-
-        # idle-pool lifecycle entries: processed completions + carry
-        if nc:
-            p_from = np.concatenate((proc_end, oi_from))
-            p_xa = np.concatenate((proc_end + ttl, oi_xa))
-            p_exp = np.concatenate((exp_seq_proc, oi_seq))
-            p_node = np.concatenate((comp_node[proc_idx], oi_node))
-            p_gid = np.concatenate((comp_gid[proc_idx], i_gid))
-            p_mem = np.concatenate((comp_mem[proc_idx], oi_mem))
-            p_code = np.concatenate((comp_code[proc_idx], oi_code))
-            p_order = np.concatenate((comp_end_seq[proc_idx], oi_order))
-            p_src = np.concatenate(
-                (
-                    comp_src[proc_idx],
-                    n + nb + np.arange(nc, dtype=np.int64),
+            # completions this slab can observe: new + carried busy
+            if nb:
+                comp_end = np.concatenate((end_new, ob_end))
+                comp_tie = np.concatenate((seq0 + sub, ob_seq))
+                comp_node = np.concatenate((node_idx, ob_node))
+                comp_gid = np.concatenate((gid, b_gid))
+                comp_mem = np.concatenate((req_mem, ob_mem))
+                comp_code = np.concatenate((codes, ob_code))
+                comp_src = np.concatenate(
+                    (sub, n + np.arange(nb, dtype=np.int64))
                 )
-            )
-            p_key_t = np.concatenate(
-                (np.zeros(np_proc, np.float64), oi_key_t)
-            )
-            p_key_q = np.concatenate(
-                (np.full(np_proc, -1, np.int64), oi_key_q)
-            )
-        else:
-            p_from, p_xa = proc_end, proc_end + ttl
-            p_exp = exp_seq_proc
-            p_node = comp_node[proc_idx]
-            p_gid = comp_gid[proc_idx]
-            p_mem = comp_mem[proc_idx]
-            p_code = comp_code[proc_idx]
-            p_order = comp_end_seq[proc_idx]
-            p_src = comp_src[proc_idx]
-            p_key_t = np.zeros(np_proc, np.float64)
-            p_key_q = np.full(np_proc, -1, np.int64)
-        p_reused = reused_arr[p_src]
-        p_fired = ~p_reused & (p_xa <= last_t)
-        p_keep = ~p_reused & (p_xa > last_t)
+            else:
+                comp_end, comp_tie = end_new, seq0 + sub
+                comp_node, comp_gid = node_idx, gid
+                comp_mem, comp_code, comp_src = req_mem, codes, sub
+            processed = comp_end <= last_t
+            proc_idx = np.nonzero(processed)[0]
+            np_proc = int(proc_idx.size)
 
-        # memory calendar: +mem at each cold arrival, -mem at each
-        # in-slab expiry, in the reference heap order per node
-        a_idx = np.nonzero(cold_arr)[0]
-        f_idx = np.nonzero(p_fired)[0]
-        ev_time = np.concatenate((ts[a_idx], p_xa[f_idx]))
-        ev_phase = np.concatenate((
-            np.ones(a_idx.size, np.uint8),
-            np.zeros(f_idx.size, np.uint8),
-        ))
-        ev_tie = np.concatenate((seq0 + a_idx, p_exp[f_idx]))
-        ev_node = np.concatenate((node_idx[a_idx], p_node[f_idx]))
-        ev_delta = np.concatenate((req_mem[a_idx], -p_mem[f_idx]))
-        eo = _event_order(ev_time, ev_phase, ev_tie)
-        order = eo[_group_stable(ev_node[eo])]
-        s_alloc = ev_phase[order] == 1
-        s_delta = ev_delta[order]
-        counts = np.bincount(ev_node, minlength=n_nodes)
-        bounds = np.zeros(n_nodes + 1, np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        new_used = np.empty(n_nodes, np.float64)
-        for b, node in enumerate(self.nodes):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            block = np.empty(hi - lo + 1, np.float64)
-            block[0] = node.used_memory_mb
-            block[1:] = s_delta[lo:hi]
-            usage = np.cumsum(block)
-            admitted = usage[1:][s_alloc[lo:hi]]
-            if bool(np.any(admitted > node.memory_capacity_mb)):
-                # the scalar engine would evict or queue here, and pool
-                # replays assumed neither: fall back entirely
-                return False
-            new_used[b] = usage[-1]
+            # Heap sequence numbers: every arrival pushes its end event
+            # and every in-slab-processed completion pushes an expiry
+            # event, in merged (time, completion-before-arrival, push
+            # order) order.  An eviction cancels an expiry, it never
+            # renumbers one.
+            proc_end = comp_end[proc_idx]
+            m_time = np.concatenate((ts, proc_end))
+            m_phase = np.concatenate(
+                (np.ones(n, np.uint8), np.zeros(np_proc, np.uint8))
+            )
+            m_tie = np.concatenate((seq0 + sub, comp_tie[proc_idx]))
+            mo = _event_order(m_time, m_phase, m_tie)
+            seq_assign = np.empty(n + np_proc, np.int64)
+            seq_assign[mo] = seq0 + np.arange(n + np_proc, dtype=np.int64)
+            end_seq_new = seq_assign[:n]
+            exp_seq_proc = seq_assign[n:]
+            comp_end_seq = (
+                np.concatenate((end_seq_new, ob_seq)) if nb else end_seq_new
+            )
+
+            # idle-pool lifecycle entries: processed completions + carry
+            if nc:
+                p_from = np.concatenate((proc_end, oi_from))
+                p_xa = np.concatenate((proc_end + ttl, oi_xa))
+                p_exp = np.concatenate((exp_seq_proc, oi_seq))
+                p_node = np.concatenate((comp_node[proc_idx], oi_node))
+                p_gid = np.concatenate((comp_gid[proc_idx], i_gid))
+                p_mem = np.concatenate((comp_mem[proc_idx], oi_mem))
+                p_code = np.concatenate((comp_code[proc_idx], oi_code))
+                p_order = np.concatenate(
+                    (comp_end_seq[proc_idx], oi_order)
+                )
+                p_src = np.concatenate(
+                    (
+                        comp_src[proc_idx],
+                        n + nb + np.arange(nc, dtype=np.int64),
+                    )
+                )
+                p_key_t = np.concatenate(
+                    (np.zeros(np_proc, np.float64), oi_key_t)
+                )
+                p_key_q = np.concatenate(
+                    (np.full(np_proc, -1, np.int64), oi_key_q)
+                )
+            else:
+                p_from, p_xa = proc_end, proc_end + ttl
+                p_exp = exp_seq_proc
+                p_node = comp_node[proc_idx]
+                p_gid = comp_gid[proc_idx]
+                p_mem = comp_mem[proc_idx]
+                p_code = comp_code[proc_idx]
+                p_order = comp_end_seq[proc_idx]
+                p_src = comp_src[proc_idx]
+                p_key_t = np.zeros(np_proc, np.float64)
+                p_key_q = np.full(np_proc, -1, np.int64)
+            # an evicted entry is neither reused, fired, nor kept
+            p_gone = reused_arr[p_src]
+            ev_prow = _I0
+            if ev_src.size:
+                prow_of = np.empty(n + nb + nc, np.int64)
+                prow_of[p_src] = np.arange(p_src.size, dtype=np.int64)
+                ev_prow = prow_of[ev_src]
+                p_gone[ev_prow] = True
+            p_fired = ~p_gone & (p_xa <= last_t)
+            p_keep = ~p_gone & (p_xa > last_t)
+
+            # memory calendar: +mem at each cold arrival, -mem at each
+            # in-slab expiry and at each eviction, in the reference heap
+            # order per node; an arrival's evictions (in the order it
+            # made them) precede its own +mem
+            a_idx = np.nonzero(cold_arr)[0]
+            f_idx = np.nonzero(p_fired)[0]
+            n_ev = int(ev_row.size)
+            if n_ev:
+                first = np.searchsorted(ev_row, ev_row, side="left")
+                ev_j = np.arange(n_ev, dtype=np.int64) - first
+                width = int(ev_j.max()) + 2
+            else:
+                ev_j, width = _I0, 1
+            ev_time = np.concatenate((ts[a_idx], p_xa[f_idx], ts[ev_row]))
+            ev_phase = np.concatenate((
+                np.ones(a_idx.size, np.uint8),
+                np.zeros(f_idx.size, np.uint8),
+                np.ones(n_ev, np.uint8),
+            ))
+            ev_tie = np.concatenate((
+                a_idx * width + (width - 1), p_exp[f_idx],
+                ev_row * width + ev_j,
+            ))
+            ev_node = np.concatenate(
+                (node_idx[a_idx], p_node[f_idx], node_idx[ev_row])
+            )
+            ev_delta = np.concatenate(
+                (req_mem[a_idx], -p_mem[f_idx], -p_mem[ev_prow])
+            )
+            eo = _event_order(ev_time, ev_phase, ev_tie)
+            order = eo[_group_stable(ev_node[eo])]
+            s_alloc = order < a_idx.size
+            s_delta = ev_delta[order]
+            counts = np.bincount(ev_node, minlength=n_nodes)
+            bounds = np.zeros(n_nodes + 1, np.int64)
+            np.cumsum(counts, out=bounds[1:])
+            new_used = np.empty(n_nodes, np.float64)
+            over: list[int] = []
+            for b, node in enumerate(self.nodes):
+                lo, hi = int(bounds[b]), int(bounds[b + 1])
+                block = np.empty(hi - lo + 1, np.float64)
+                block[0] = node.used_memory_mb
+                block[1:] = s_delta[lo:hi]
+                usage = np.cumsum(block)
+                admitted = usage[1:][s_alloc[lo:hi]]
+                if bool(np.any(admitted > node.memory_capacity_mb)):
+                    over.append(b)
+                new_used[b] = usage[-1]
+            if not over:
+                break
+            if coupled:  # pragma: no cover - the node replay is exact
+                return None
+            # the scalar engine evicts (or queues) on these nodes: replay
+            # each as one unit, its pools coupled through its memory
+            replay = self._replay_nodes(
+                over, ts, codes, node_idx, mem, svc_req, cstart, ttl,
+                seq0, busy, idle, (ob_node, oi_node), (ob_code, oi_code),
+            )
+            if replay is None:
+                return None
+            rows, src_of, ev_src, ev_row = replay
+            reuse_src_arr[rows] = src_of
 
         if busy_cap is not None and not self._bulk_busy_ok(
             ts, node_idx, comp_end[proc_idx], comp_tie[proc_idx],
             comp_node[proc_idx], seq0, busy_cap,
         ):
-            return False
+            return None
 
         still = np.nonzero(~processed)[0]
         busy_after = np.bincount(comp_node[still], minlength=n_nodes)
@@ -1484,13 +1539,13 @@ class FaaSCluster:
 
         key_time, key_tie = self._pool_creation_keys(
             ts, gid, p_from, p_xa, p_exp, p_order, p_gid, p_src, p_key_t,
-            p_key_q, p_fired, p_reused, p_keep, reuse_src_arr, seq0,
-            n, nb, n_pools, len(self.nodes) * n_words,
+            p_key_q, p_fired, p_keep, reuse_src_arr, ev_prow, ev_row,
+            seq0, n, nb, n_pools, len(self.nodes) * n_words,
         )
 
         # -- commit ----------------------------------------------------
         self._seq_n += n + np_proc
-        self._sandbox_n += int(cold_arr.sum())
+        self._sandbox_n += int(a_idx.size)
         self._clock = last_t
         self._store.extend(
             self._store_codes()[codes], self._node_ids()[node_idx],
@@ -1526,7 +1581,7 @@ class FaaSCluster:
             )
         else:
             self._tail = None
-        return True
+        return n_ev
 
     def _pool_reuses(
         self,
@@ -1536,20 +1591,12 @@ class FaaSCluster:
         cstart: npt.NDArray[np.float64],
         ttl: float,
         seq0: int,
-        busy: tuple[
-            npt.NDArray[np.float64],
-            npt.NDArray[np.int64],
-            npt.NDArray[np.int64],
-        ],
-        idle: tuple[
-            npt.NDArray[np.float64],
-            npt.NDArray[np.int64],
-            npt.NDArray[np.float64],
-            npt.NDArray[np.int64],
-        ],
+        busy: _BusySeed,
+        idle: _IdleSeed,
     ) -> tuple[npt.NDArray[np.int64], int]:
         """Each row's warm-reuse source in a fixed positive-TTL slab (-1
-        for a cold start), plus the slab's pool count.  ``gid`` names
+        for a cold start), plus the slab's pool count, with every pool
+        replayed as if its node's memory were unbounded.  ``gid`` names
         each row's ``(node, workload)`` pool; ``busy`` holds the carried
         busy rows (end, heap tie, pool) and ``idle`` the carried idle
         rows (idled-at, append order, expiry, pool)."""
@@ -1706,10 +1753,12 @@ class FaaSCluster:
                 np.repeat(d_start[cx] - offs, cx_len)
                 + np.arange(int(offs[-1] + cx_len[-1]), dtype=np.int64)
             ]
-            reuse_src[cx_rows] = self._replay_complex_pools(
-                cx_rows, cx_len, g_sorted[d_start[cx]], ts, svc_req,
-                cstart, ttl, seq0, busy, idle,
+            replay = self._replay_exact(
+                cx_rows, cx_len, g_sorted[d_start[cx]], (b_gid, i_gid),
+                ts, svc_req, cstart, ttl, seq0, busy, idle, None,
             )
+            assert replay is not None  # unbounded memory never gives up
+            reuse_src[cx_rows] = replay[0]
         return reuse_src, n_pools
 
     def _bulk_busy_ok(
@@ -1764,9 +1813,10 @@ class FaaSCluster:
         p_key_t: npt.NDArray[np.float64],
         p_key_q: npt.NDArray[np.int64],
         p_fired: npt.NDArray[np.bool_],
-        p_reused: npt.NDArray[np.bool_],
         p_keep: npt.NDArray[np.bool_],
         reuse_src_arr: npt.NDArray[np.int64],
+        ev_prow: npt.NDArray[np.int64],
+        ev_row: npt.NDArray[np.int64],
         seq0: int,
         n: int,
         nb: int,
@@ -1779,7 +1829,8 @@ class FaaSCluster:
         insertion, and ``lru_idle`` tie-breaks on that order, so the
         carry must remember when each surviving stack last went
         empty-to-non-empty.  Each pool's appends (completions idling),
-        reuses (pops), and expiries replay as one global event list --
+        reuses and evictions (pops), and expiries replay as one global
+        event list --
         lexsorted by pool, then segmented-cumsum'd to find each pool's
         latest 0->1 occupancy transition; if a surviving stack never
         emptied this slab, the key carried from the previous chunk
@@ -1800,6 +1851,7 @@ class FaaSCluster:
             a_g, a_t, a_tie = p_gid, p_from, p_order
             k_cons = np.nonzero(reuse_src_arr >= 0)[0]
             rf = np.nonzero(p_fired)[0]
+            v = np.arange(ev_row.size, dtype=np.int64)
         else:
             keep_mask = np.zeros(n_gids, np.bool_)
             keep_mask[keep_gids] = True
@@ -1811,13 +1863,18 @@ class FaaSCluster:
                 (reuse_src_arr >= 0) & keep_mask[gid]
             )[0]
             rf = np.nonzero(pm & p_fired)[0]
-        na, nr, nf = rows.size, k_cons.size, rf.size
+            v = np.nonzero(pm[ev_prow])[0]
+        # an eviction pops the victim's pool at the evicting arrival
+        v_row, v_g = ev_row[v], p_gid[ev_prow[v]]
+        na, nr, nf = rows.size, k_cons.size + v.size, rf.size
         ne = na + nr + nf
-        ev_g = np.concatenate((a_g, gid[k_cons], p_gid[rf]))
-        ev_t = np.concatenate((a_t, ts[k_cons], p_xa[rf]))
+        ev_g = np.concatenate((a_g, gid[k_cons], v_g, p_gid[rf]))
+        ev_t = np.concatenate((a_t, ts[k_cons], ts[v_row], p_xa[rf]))
         ev_ph = np.zeros(ne, np.uint8)
-        ev_ph[na:na + nr] = 1  # reuse pops sort after same-time appends
-        ev_tie = np.concatenate((a_tie, seq0 + k_cons, p_exp[rf]))
+        ev_ph[na:na + nr] = 1  # arrival pops sort after same-time appends
+        ev_tie = np.concatenate(
+            (a_tie, seq0 + k_cons, seq0 + v_row, p_exp[rf])
+        )
         eo = _event_order(ev_t, ev_ph, ev_tie)
         so = eo[_group_stable(ev_g[eo])]
         g_s = ev_g[so]
@@ -1857,90 +1914,216 @@ class FaaSCluster:
         key_tie[krows] = kq[kseg]
         return key_time, key_tie
 
-    def _replay_complex_pools(
+    def _replay_nodes(
+        self,
+        over: list[int],
+        ts: npt.NDArray[np.float64],
+        codes: npt.NDArray[np.int64],
+        node_idx: npt.NDArray[np.int64],
+        mem: npt.NDArray[np.float64],
+        svc_req: npt.NDArray[np.float64],
+        cstart: npt.NDArray[np.float64],
+        ttl: float,
+        seq0: int,
+        busy: _BusySeed,
+        idle: _IdleSeed,
+        seed_nodes: tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]],
+        seed_codes: tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]],
+    ) -> tuple[
+        npt.NDArray[np.int64],
+        npt.NDArray[np.int64],
+        npt.NDArray[np.int64],
+        npt.NDArray[np.int64],
+    ] | None:
+        """Exact replay of the nodes ``over`` (ascending), each as one
+        unit under its capacity and slab-start memory: ``(rows, their
+        reuse sources, evicted sources, evicting rows)`` with the
+        evictions in admission order, or None if a node would queue or
+        meet an LRU tie across pools."""
+        units = np.array(over, np.int64)
+        in_unit = np.zeros(len(self.nodes), np.bool_)
+        in_unit[units] = True
+        rows = np.nonzero(in_unit[node_idx])[0]
+        rows = rows[_group_stable(node_idx[rows])]
+        unit_len = np.bincount(node_idx[rows], minlength=len(self.nodes))
+        nodes = [self.nodes[b] for b in over]
+        replay = self._replay_exact(
+            rows, unit_len[units], units, seed_nodes, ts, svc_req, cstart,
+            ttl, seq0, busy, idle,
+            (codes, *seed_codes, mem.tolist(),
+             [nd.memory_capacity_mb for nd in nodes],
+             [nd.used_memory_mb for nd in nodes]),
+        )
+        if replay is None:
+            return None
+        src_of, ev_src, ev_row = replay
+        eo = np.argsort(ev_row, kind="stable")
+        return rows, src_of, ev_src[eo], ev_row[eo]
+
+    def _replay_exact(
         self,
         rows: npt.NDArray[np.int64],
-        pool_len: npt.NDArray[np.int64],
-        pool_gid: npt.NDArray[np.int64],
+        unit_len: npt.NDArray[np.int64],
+        unit_key: npt.NDArray[np.int64],
+        seed_keys: tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]],
         ts: npt.NDArray[np.float64],
         svc_req: npt.NDArray[np.float64],
         cstart: npt.NDArray[np.float64],
         ttl: float,
         seq0: int,
-        busy: tuple[
-            npt.NDArray[np.float64],
-            npt.NDArray[np.int64],
-            npt.NDArray[np.int64],
-        ],
-        idle: tuple[
-            npt.NDArray[np.float64],
-            npt.NDArray[np.int64],
-            npt.NDArray[np.float64],
-            npt.NDArray[np.int64],
-        ],
-    ) -> npt.NDArray[np.int64]:
-        """Exact heap-and-deque replay of the *complex* pools -- the
-        ones the lockstep scan could not carry.  ``rows`` holds each
-        pool's arrivals in arrival order, pool after pool (``pool_len``
-        rows each); every pool replays from its first arrival with a
-        local busy heap and idle deque, seeded only from the carried
-        ``busy`` (end, heap tie, pool) and ``idle`` (idled-at, append
-        order, expiry, pool) rows.  Returns each row's warm-reuse
-        source, -1 for a cold start."""
-        b_end, b_seq, b_gid = busy
-        _, _, i_xa, i_gid = idle
+        busy: _BusySeed,
+        idle: _IdleSeed,
+        nodes: _NodeUnits | None,
+    ) -> tuple[
+        npt.NDArray[np.int64],
+        npt.NDArray[np.int64],
+        npt.NDArray[np.int64],
+    ] | None:
+        """The keep-alive path's one exact loop, unit by unit.
+
+        A unit is one pool with unbounded memory (``nodes`` None: the
+        complex pools the lockstep scan could not carry), or one whole
+        node under its capacity and slab-start used memory (``nodes``
+        gives the workload code of every new, carried busy and carried
+        idle row, the memory per workload, then capacity and used memory
+        per unit).  ``rows`` holds each unit's arrivals in arrival
+        order, unit after unit (``unit_len`` rows each); a unit replays
+        from its first arrival, seeded only from the carried ``busy``
+        and ``idle`` rows whose ``seed_keys`` entry equals its
+        ``unit_key``.  Returns each row's warm-reuse source (-1 for a
+        cold start) and the evictions as (evicted source, evicting row),
+        or None if a node unit reaches a state this loop does not model.
+
+        A unit holds a busy heap keyed ``(end, seq)`` and a LIFO idle
+        stack per pool.  A pool unit expires lazily: idle entries are
+        pushed in completion order and share one TTL, so if the top of
+        the stack has expired, all of it has.  A node unit also keeps
+        one FIFO of its idle entries with lazy deletion (a reused entry
+        stays in it, flagged): idle-since and expiry are both monotone
+        in push order, so the FIFO's first live entry is at once the
+        next to expire and the LRU victim, and it always sits at the
+        bottom of its own pool's stack.  Due completions, then due
+        expiries, fire before each arrival; a cold start evicts ``while
+        used + mem > capacity``, folding ``used`` in the reference
+        engine's float order.  Memory short with nothing idle (the
+        request would queue), or a victim whose idle-since equals a
+        live entry of another pool (the reference engine breaks that
+        tie by dict-insertion order), gives up.
+        """
+        b_end, b_seq, _ = busy
+        i_from, i_order, i_xa, _ = idle
+        b_key, i_key = seed_keys
         n, nb = int(ts.size), int(b_end.size)
-        busy_g: dict[int, list[tuple[float, int, int]]] = {}
-        # an idle sandbox is (expiry, source row)
-        idle_g: dict[int, deque[tuple[float, int]]] = {}
-        sel = np.nonzero(np.isin(b_gid, pool_gid))[0]
-        for g, e, q, src in zip(
-            b_gid[sel].tolist(), b_end[sel].tolist(),
-            b_seq[sel].tolist(), (n + sel).tolist(),
+        if nodes is None:
+            # every unit is one pool: its only stack is slot 0
+            n_slots = 1
+            row_slot, b_slot, i_slot = (
+                np.zeros(a.size, np.int64) for a in (ts, b_end, i_from)
+            )
+        else:
+            row_slot, b_slot, i_slot, slot_mem = nodes[:4]
+            n_slots = len(slot_mem)
+        busy_u: dict[int, list[tuple[float, int, int, int]]] = {}
+        sel = np.nonzero(np.isin(b_key, unit_key))[0]
+        for u, e, q, src, p in zip(
+            b_key[sel].tolist(), b_end[sel].tolist(), b_seq[sel].tolist(),
+            (n + sel).tolist(), b_slot[sel].tolist(),
         ):
-            busy_g.setdefault(g, []).append((e, q, src))
-        # idle rows are stored sorted by (pool, idled-at, append
-        # sequence) == stack append order: plain appends rebuild each
-        # deque exactly
-        sel = np.nonzero(np.isin(i_gid, pool_gid))[0]
-        for g, xa, src in zip(
-            i_gid[sel].tolist(), i_xa[sel].tolist(),
-            (n + nb + sel).tolist(),
+            busy_u.setdefault(u, []).append((e, q, src, p))
+        # a unit's idle entries in push order: idled-at, append sequence
+        idle_u: dict[int, list[tuple[float, int, float, int]]] = {}
+        sel = np.nonzero(np.isin(i_key, unit_key))[0]
+        sel = sel[np.lexsort((i_order[sel], i_from[sel], i_key[sel]))]
+        for u, xa, src, f, p in zip(
+            i_key[sel].tolist(), i_xa[sel].tolist(),
+            (n + nb + sel).tolist(), i_from[sel].tolist(),
+            i_slot[sel].tolist(),
         ):
-            idle_g.setdefault(g, deque()).append((xa, src))
+            idle_u.setdefault(u, []).append((xa, src, f, p))
         heappush, heappop = heapq.heappush, heapq.heappop
+        bounded = nodes is not None
+        reused = bytearray(n + nb + int(i_from.size))
         src_of = np.full(rows.size, -1, np.int64)
+        ev_src: list[int] = []
+        ev_row: list[int] = []
         t_rows, sv_rows, cs_rows = ts[rows], svc_req[rows], cstart[rows]
+        p_rows = row_slot[rows]
         lo = 0
-        for g, ln in zip(pool_gid.tolist(), pool_len.tolist()):
+        for ui, (u, ln) in enumerate(
+            zip(unit_key.tolist(), unit_len.tolist())
+        ):
             hi = lo + ln
-            bh = busy_g.get(g, [])
+            cap, used = (
+                (nodes[4][ui], nodes[5][ui]) if nodes is not None
+                else (_INF, 0.0)
+            )
+            bh = busy_u.get(u, [])
             heapq.heapify(bh)
-            dq = idle_g.get(g, deque())
-            # one pool's rows at a time keeps the Python copies small
+            # stack entries are (expiry, source); FIFO entries add the
+            # idled-at time and the pool
+            stacks = [deque[tuple[float, int]]() for _ in range(n_slots)]
+            fifo: deque[tuple[float, int, float, int]] = deque()
+            for entry in idle_u.get(u, ()):
+                stacks[entry[3]].append(entry[:2])
+                if bounded:
+                    fifo.append(entry)
+            popleft = fifo.popleft
+            # one unit's rows at a time keeps the Python copies small
             srcs: list[int] = []
-            for k, t, sv, cs in zip(
+            for k, t, sv, cs, p in zip(
                 rows[lo:hi].tolist(), t_rows[lo:hi].tolist(),
                 sv_rows[lo:hi].tolist(), cs_rows[lo:hi].tolist(),
+                p_rows[lo:hi].tolist(),
             ):
-                # completions transfer to the idle stack in heap order
+                # completions join their pool's stack in heap order
                 while bh and bh[0][0] <= t:
-                    e, _, src = heappop(bh)
-                    dq.append((e + ttl, src))
+                    e, _, src, p2 = heappop(bh)
+                    stacks[p2].append((e + ttl, src))
+                    if bounded:
+                        fifo.append((e + ttl, src, e, p2))
                 # expiries strictly precede this arrival's processing
-                while dq and dq[0][0] <= t:
-                    dq.popleft()
-                if dq:
-                    src = dq.pop()[1]  # LIFO: most recently idled
+                if bounded:
+                    while fifo and fifo[0][0] <= t:
+                        entry = popleft()
+                        if not reused[entry[1]]:
+                            stacks[entry[3]].popleft()
+                            used -= slot_mem[entry[3]]
+                st = stacks[p]
+                if st and st[-1][0] > t:
+                    src = st.pop()[1]  # LIFO: most recently idled
+                    if bounded:
+                        reused[src] = 1
                     e = t + sv
                 else:
+                    st.clear()  # a pool unit's stack expired whole
                     src = -1
+                    m = slot_mem[p] if bounded else 0.0
+                    while used + m > cap:
+                        while fifo and reused[fifo[0][1]]:
+                            popleft()
+                        if not fifo:
+                            return None  # nothing to evict: it queues
+                        _, victim, f, vp = popleft()
+                        for entry in fifo:
+                            if entry[2] != f:
+                                break
+                            if entry[3] != vp and not reused[entry[1]]:
+                                return None  # cross-pool LRU tie
+                        stacks[vp].popleft()
+                        used -= slot_mem[vp]
+                        ev_src.append(victim)
+                        ev_row.append(k)
+                    used += m
                     e = cs + sv
                 srcs.append(src)
-                heappush(bh, (e, seq0 + k, k))
+                heappush(bh, (e, seq0 + k, k, p))
             src_of[lo:hi] = srcs
             lo = hi
-        return src_of
+        return (
+            src_of,
+            np.array(ev_src, np.int64),
+            np.array(ev_row, np.int64),
+        )
 
     def _invoke_loop(
         self,

@@ -10,9 +10,8 @@ cheap without changing what it computes:
 - the record store's row buffer keeps row order, the vocabulary order
   and the identity of the ``records`` list;
 - deep warm pools and LRU evictions replay byte-identically through
-  ``invoke``, the ``invoke_many`` fallback and mixed submission;
-- the keep-alive fail-fast bound never rejects a slab the full bulk
-  commit accepts;
+  ``invoke``, the bulk commit, a slab that queues and falls back, and
+  mixed submission;
 - ``LeastLoadedScheduler`` keeps ``np.argmin``'s lowest-index tie rule.
 """
 
@@ -30,7 +29,7 @@ from repro.platform import (
     RandomScheduler,
     WorkloadProfile,
 )
-from repro.platform.simcore import Node
+from repro.platform.simcore import Node, default_cold_start_s
 from repro.platform.simulator_vec import _FLUSH_ROWS, _RecordStore
 
 from tests.test_simulator_equivalence import (
@@ -106,13 +105,24 @@ DEEP_SCHEDULERS = {
 }
 
 
-def _deep_kwargs(sched):
+def _deep_kwargs(sched, node_memory_mb=4096.0):
     return lambda: dict(  # noqa: E731
         n_nodes=2,
-        node_memory_mb=4096.0,
+        node_memory_mb=node_memory_mb,
         keepalive=FixedKeepAlive(60.0),
         scheduler=DEEP_SCHEDULERS[sched](),
     )
+
+
+def _queued(records, profiles):
+    """Records whose start was delayed beyond their own cold start, i.e.
+    requests that waited in a node's backlog."""
+    return [
+        r for r in records
+        if r.start_s != r.arrival_s + (
+            default_cold_start_s(profiles[r.workload_id]) if r.cold else 0.0
+        )
+    ]
 
 
 def test_deep_pool_load_is_deep_and_evicts():
@@ -138,27 +148,32 @@ def test_deep_pool_load_is_deep_and_evicts():
 @pytest.mark.parametrize("mode", ["scalar", "bulk", "mixed", "chunked-128"])
 def test_deep_pools_and_evictions_match_oracle(seed, sched, mode):
     ts, wids = _deep_pool_load(seed)
-    make_kwargs = _deep_kwargs(sched)
-
-    ref = ObjectFaaSCluster(_deep_pool_profiles(), **make_kwargs())
-    submit(ref, ts, wids, "scalar")
-    ref_records = ref.drain()
-    vec = FaaSCluster(_deep_pool_profiles(), **make_kwargs())
-    outcomes = _bulk_outcomes(vec)
-    submit(vec, ts, wids, mode)
-    vec_records = vec.drain()
-    assert vec_records == ref_records
-    assert vec.clock_s == ref.clock_s
-    assert [(n.used_memory_mb, n.busy_count, n.idle_count)
-            for n in vec.nodes] == [
-        (n.used_memory_mb, n.busy_count, n.idle_count) for n in ref.nodes
-    ]
-    if sched == "random":
-        assert (vec.scheduler._rng.bit_generator.state
-                == ref.scheduler._rng.bit_generator.state)
-        if mode in ("bulk", "mixed"):
-            # the slab was bulk-eligible and fell back on memory
-            assert outcomes and outcomes[0] is False
+    profiles = _deep_pool_profiles()
+    # 4 GiB nodes evict and queue; 5 GiB nodes evict and never queue
+    for node_memory_mb, queues in ((4096.0, True), (5120.0, False)):
+        make_kwargs = _deep_kwargs(sched, node_memory_mb)
+        ref = ObjectFaaSCluster(profiles, **make_kwargs())
+        submit(ref, ts, wids, "scalar")
+        ref_records = ref.drain()
+        vec = FaaSCluster(profiles, **make_kwargs())
+        outcomes = _bulk_outcomes(vec)
+        submit(vec, ts, wids, mode)
+        vec_records = vec.drain()
+        assert vec_records == ref_records
+        assert vec.clock_s == ref.clock_s
+        assert [(n.used_memory_mb, n.busy_count, n.idle_count)
+                for n in vec.nodes] == [
+            (n.used_memory_mb, n.busy_count, n.idle_count)
+            for n in ref.nodes
+        ]
+        assert bool(_queued(ref_records, profiles)) is queues
+        if sched == "random":
+            assert (vec.scheduler._rng.bit_generator.state
+                    == ref.scheduler._rng.bit_generator.state)
+            if mode in ("bulk", "mixed"):
+                # the slab is bulk-eligible: it commits with its LRU
+                # evictions, and falls back only where a request queues
+                assert outcomes and outcomes[0] is not queues
 
 
 def test_events_due_exactly_at_an_arrival_fire_first():
@@ -199,6 +214,7 @@ def _tight_random_kwargs(seed=4):
 
 
 def test_fallback_slab_does_not_pick_per_row():
+    # requests queue on the tight nodes, so the bulk attempt falls back
     ts, wids = make_load(0, n=400, horizon_s=4.0)
     cluster = FaaSCluster(make_profiles(), **_tight_random_kwargs())
     outcomes = _bulk_outcomes(cluster)
@@ -212,7 +228,9 @@ def test_fallback_slab_does_not_pick_per_row():
     ref = ObjectFaaSCluster(make_profiles(), **_tight_random_kwargs())
     for t, w in zip(ts.tolist(), wids):
         ref.invoke(t, w)
-    assert cluster.drain() == ref.drain()
+    records = ref.drain()
+    assert _queued(records, make_profiles())
+    assert cluster.drain() == records
 
 
 def test_ineligible_slab_draws_once_per_row_up_front():
@@ -279,8 +297,12 @@ def test_exception_mid_slab_leaves_the_rng_at_the_consumed_picks(
 ):
     ts, wids = make_load(3, n=200, horizon_s=2.0)
     if after_fallback:
-        # bulk-eligible but infeasible: the loop runs after a rewind
+        # bulk-eligible, but requests queue: the loop runs after a rewind
         kwargs = _tight_random_kwargs(seed=6)
+        ref = ObjectFaaSCluster(make_profiles(), **_tight_random_kwargs(6))
+        for t, w in zip(ts[:120].tolist(), wids[:120]):
+            ref.invoke(t, w)
+        assert _queued(ref.records, make_profiles())
     else:
         kwargs = dict(n_nodes=3, node_memory_mb=8192.0,
                       keepalive=HistogramKeepAlive(default_ttl_s=1.0),
@@ -409,103 +431,6 @@ def test_scalar_first_vocabulary_is_first_appearance_order():
     cols = cluster.drain_columns()
     assert cols.vocabulary == tuple(dict.fromkeys(wids))
     assert cols.workload_ids() == wids
-
-
-# ---------------------------------------------------------------------------
-# keep-alive fail-fast bound
-# ---------------------------------------------------------------------------
-def _random_slab(rng):
-    n_work = int(rng.integers(1, 7))
-    profiles = {
-        f"w{i}": WorkloadProfile(
-            f"w{i}", runtime_ms=float(rng.uniform(5.0, 800.0)),
-            memory_mb=float(rng.choice([64.0, 128.0, 200.5, 256.0, 512.0])),
-        )
-        for i in range(n_work)
-    }
-    n = int(rng.integers(1, 60))
-    ts = np.sort(rng.uniform(0.0, float(rng.uniform(0.5, 40.0)), n))
-    if rng.random() < 0.3:
-        ts = np.round(ts, 1)  # equal timestamps
-    wids = [f"w{int(c)}" for c in rng.integers(0, n_work, n)]
-    kwargs = dict(
-        n_nodes=int(rng.integers(1, 4)),
-        node_memory_mb=float(rng.choice([512.0, 700.0, 1024.0, 2048.0])),
-        keepalive=FixedKeepAlive(float(rng.choice([0.3, 2.0, 10.0, 60.0]))),
-        service_time_cv=float(rng.choice([0.0, 0.5])),
-    )
-    return profiles, ts, wids, kwargs
-
-
-def test_keepalive_fail_fast_never_rejects_an_admissible_slab():
-    rng = np.random.default_rng(2024)
-    rejected = unsound = 0
-    for case in range(600):
-        profiles, ts, wids, kwargs = _random_slab(rng)
-        if max(p.memory_mb for p in profiles.values()) > (
-                kwargs["node_memory_mb"]):
-            continue
-
-        def run(check):
-            cluster = FaaSCluster(
-                profiles, scheduler=RandomScheduler(seed=case), seed=case,
-                **kwargs,
-            )
-            verdicts = []
-            if not check:
-                cluster._keepalive_may_fit = lambda *a: True
-            else:
-                may_fit = cluster._keepalive_may_fit
-
-                def spy(*a):
-                    verdicts.append(may_fit(*a))
-                    return verdicts[-1]
-
-                cluster._keepalive_may_fit = spy
-            outcomes = _bulk_outcomes(cluster)
-            cluster.invoke_many(ts, wids)
-            return cluster.drain(), outcomes, verdicts
-
-        checked, _, verdicts = run(True)
-        full, full_outcomes, _ = run(False)
-        assert checked == full
-        if verdicts == [False]:
-            rejected += 1
-            if full_outcomes == [True]:
-                unsound += 1
-    assert unsound == 0
-    assert rejected >= 20, "the bound must actually reject some slabs"
-
-
-def test_keepalive_fail_fast_rejects_the_pressured_shape():
-    # many distinct workloads per node inside one TTL window: their
-    # first sandboxes alone exceed the node, so no pool replay runs
-    profiles = {
-        f"w{i}": WorkloadProfile(f"w{i}", runtime_ms=20.0, memory_mb=256.0)
-        for i in range(40)
-    }
-    ts = np.arange(400, dtype=np.float64) * 0.05
-    wids = [f"w{i % 40}" for i in range(400)]
-    cluster = FaaSCluster(profiles, n_nodes=2, node_memory_mb=2048.0,
-                          keepalive=FixedKeepAlive(600.0),
-                          scheduler=RandomScheduler(seed=3))
-    replays = []
-    commit = cluster._bulk_commit_keepalive
-
-    def counted(*args):
-        replays.append(len(args[0]))
-        return commit(*args)
-
-    cluster._bulk_commit_keepalive = counted
-    outcomes = _bulk_outcomes(cluster)
-    cluster.invoke_many(ts, wids)
-    assert outcomes == [False] and replays == []
-    ref = ObjectFaaSCluster(profiles, n_nodes=2, node_memory_mb=2048.0,
-                            keepalive=FixedKeepAlive(600.0),
-                            scheduler=RandomScheduler(seed=3))
-    for t, w in zip(ts.tolist(), wids):
-        ref.invoke(t, w)
-    assert cluster.drain() == ref.drain()
 
 
 # ---------------------------------------------------------------------------

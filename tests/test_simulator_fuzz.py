@@ -22,6 +22,8 @@ from repro.platform.diffsim import (
 
 import numpy as np
 
+from repro.telemetry import registry as telemetry
+
 
 def _cfg(**overrides):
     base = dict(
@@ -128,6 +130,11 @@ REGRESSION_CONFIGS = [
     _cfg(seed=19, n_requests=350, horizon_s=10.0, keepalive="hybrid",
          track_memory=True, node_memory_mb=1024.0, batch="scalar",
          cores=4, cpu_policy="fair"),
+    # memory-pressured keep-alive slab that evicts but never queues: it
+    # commits in bulk through the per-node LRU replay
+    _cfg(seed=30, n_requests=300, n_workloads=7, horizon_s=30.0,
+         keepalive="fixed", keepalive_ttl=30.0, node_memory_mb=2048.0,
+         batch="bulk"),
 ]
 
 
@@ -136,6 +143,15 @@ REGRESSION_CONFIGS = [
 def test_pinned_regressions(cfg):
     mismatch = compare(cfg)
     assert mismatch is None, format_reproducer(cfg, mismatch)
+
+
+def test_pinned_eviction_tuple_commits_in_bulk():
+    cfg = REGRESSION_CONFIGS[-1]
+    reg = telemetry.MetricsRegistry()
+    with telemetry.use(reg):
+        assert compare(cfg) is None
+    assert reg.counter("platform_bulk_rows_total").value == cfg.n_requests
+    assert reg.counter("platform_bulk_evictions_total").value > 0
 
 
 def test_random_sweep_agrees():
