@@ -437,10 +437,15 @@ def main(argv: list[str] | None = None) -> int:
     if not failures:
         rows = reg.counter("platform_bulk_rows_total").value
         evictions = reg.counter("platform_bulk_evictions_total").value
+        fallbacks = ", ".join(
+            f"{m.labels['reason']} {m.value:.0f}"
+            for m in reg.counters()
+            if m.name == "platform_bulk_fallbacks_total" and m.value
+        )
         print(f"OK: engines byte-identical on {args.tuples} random "
               f"configurations (seed {args.seed}); bulk path committed "
               f"{rows:.0f} rows and modelled {evictions:.0f} LRU "
-              f"evictions")
+              f"evictions; slabs fallen back: {fallbacks or 'none'}")
         return 0
     for cfg, mismatch in failures:
         print(format_reproducer(cfg, mismatch))

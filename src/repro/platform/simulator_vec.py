@@ -23,14 +23,19 @@ struct-of-arrays storage:
   envelope covers constant keep-alive TTLs (``NoKeepAlive`` and
   ``FixedKeepAlive``), lognormal service-time jitter (one pre-drawn
   array per slab, stream-equal to the scalar draws, rewound on
-  fallback), and batch-capable schedulers; whatever the slab leaves
+  fallback), batch-capable schedulers, and the default
+  :class:`~repro.platform.schedulers.LeastLoadedScheduler`, whose picks
+  one exact loop over the whole cluster makes together with the
+  warm/cold decisions (:meth:`FaaSCluster._replay_cluster`); whatever
+  the slab leaves
   outstanding -- running invocations *and* warm idle sandboxes --
   becomes a :class:`_BulkTail` carry that survives slab boundaries
   (one :meth:`invoke_many` per slab streams a trace memory-bounded), is
   finalised vectorised at drain, or is materialised into ordinary heap
   events if scalar traffic follows.
-- **Everything else** -- queued backlogs, stateful schedulers,
-  autoscaling, fault hooks, tracing -- runs the exact control flow of
+- **Everything else** -- queued backlogs, the other stateful
+  schedulers, autoscaling, fault hooks, tracing -- runs the exact
+  control flow of
   the reference engine, on the same :class:`~repro.platform.simcore.Node`
   objects, so the cluster-size-bounded control plane stays a faithful
   oracle target and external policies observe identical state.
@@ -448,9 +453,37 @@ _NodeUnits = tuple[
 _BULK_SLAB_ROWS = 65_536
 
 
+#: Rows the cluster-unit loop converts to Python lists at a time, which
+#: keeps its working set small on a full-size sub-slab.
+_LOOP_ROWS = 4096
+
+
 #: Shared empty columns for carries with no idle component (zero TTL).
 _F0 = np.empty(0, np.float64)
 _I0 = np.empty(0, np.int64)
+
+
+class _Fallback(Exception):
+    """A slab the bulk path does not model: the caller rewinds and hands
+    it to the scalar loop.  ``reason`` labels
+    ``platform_bulk_fallbacks_total``."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+
+
+def _count_fallback(reason: str) -> bool:
+    """Count one slab handed to the scalar loop (under an active
+    registry only); returns the False verdict of a fallen-back slab."""
+    reg = _telemetry.active()
+    if reg is not None:
+        reg.counter(
+            "platform_bulk_fallbacks_total",
+            "slabs the bulk path handed to the scalar loop, by reason",
+            labels={"reason": reason},
+        ).inc()
+    return False
 
 
 def _event_order(
@@ -795,6 +828,15 @@ class FaaSCluster:
         closed form), but warm reuse under contention couples pools
         through busy counts, which the keep-alive commit's independent
         pool replay cannot see.
+
+        Schedulers: a single node with a pure single-node pick, a
+        batch-capable scheduler (speculative ``pick_many`` plus
+        ``snapshot``/``restore``), or the exact type
+        :class:`LeastLoadedScheduler` on several nodes with no CPU
+        model.  Its picks depend on busy counts, which depend only on
+        completion times, so :meth:`_replay_cluster` makes them in one
+        exact loop together with the warm/cold decisions; a CPU model
+        would make completion times depend on the run queue too.
         """
         ttl = self._bulk_ttl()
         if ttl is None:
@@ -827,6 +869,8 @@ class FaaSCluster:
             and sched_t in _PURE_SINGLE_NODE_SCHEDULERS
         ):
             return True
+        if sched_t is LeastLoadedScheduler:
+            return self.cpu is None
         return (
             getattr(sched_t, "pick_many", None) is not None
             and getattr(sched_t, "snapshot", None) is not None
@@ -848,18 +892,18 @@ class FaaSCluster:
         old = self._tail
         words = list(self.profiles)
         if old is not None and old.words != words:
-            return False
+            return _count_fallback("input")
         index = {w: i for i, w in enumerate(words)}
         try:
             codes = np.fromiter(
                 map(index.__getitem__, workload_ids), np.int64, count=n
             )
         except KeyError:  # unknown workload: let the loop raise
-            return False
+            return _count_fallback("input")
         if float(ts[0]) < self._clock:
-            return False
+            return _count_fallback("input")
         if n > 1 and bool(np.any(np.diff(ts) < 0)):
-            return False
+            return _count_fallback("input")
 
         profs = [self.profiles[w] for w in words]
         mem = np.array([p.memory_mb for p in profs], np.float64)
@@ -867,12 +911,17 @@ class FaaSCluster:
         coldcost = np.array(
             [self.cold_start_model(p) for p in profs], np.float64
         )
+        cstart = ts + coldcost[codes]
 
         sched = self.scheduler
-        speculative = not (
+        # placement: a pure single-node pick, least-loaded picks made by
+        # the cluster-unit loop below, or speculative batched picks
+        pure = (
             len(self.nodes) == 1
             and type(sched) in _PURE_SINGLE_NODE_SCHEDULERS
         )
+        cluster = not pure and type(sched) is LeastLoadedScheduler
+        speculative = not (pure or cluster)
         saved: Any = None
         busy_cap: int | None = None
         if speculative:
@@ -896,23 +945,30 @@ class FaaSCluster:
             rng_state = self._rng.bit_generator.state
             svc_req = svc_req * self._rng.lognormal(mu, sigma, n)
 
-        evictions: int | None = 0
-        if ttl > 0:
-            evictions = self._bulk_commit_keepalive(
-                ts, codes, node_idx, mem, coldcost, svc_req, ttl,
-                busy_cap, words, old,
+        reuse: tuple[npt.NDArray[np.int64], int] | None = None
+        if cluster:
+            node_idx, reuse_src, n_pools = self._replay_cluster(
+                ts, codes, svc_req, cstart, ttl, len(words), old,
             )
-        elif not self._bulk_commit_teardown(
-            ts, codes, node_idx, mem, coldcost, svc_req,
-            busy_cap, words, old,
-        ):
-            evictions = None
-        if evictions is None:
+            reuse = (reuse_src, n_pools)
+        evictions = 0
+        try:
+            if ttl > 0:
+                evictions = self._bulk_commit_keepalive(
+                    ts, codes, node_idx, mem, cstart, svc_req, ttl,
+                    busy_cap, words, old, reuse,
+                )
+            else:
+                self._bulk_commit_teardown(
+                    ts, codes, node_idx, mem, cstart, svc_req,
+                    busy_cap, words, old,
+                )
+        except _Fallback as why:
             if speculative:
                 cast(BatchScheduler, sched).restore(saved)
             if rng_state is not None:
                 self._rng.bit_generator.state = rng_state
-            return False
+            return _count_fallback(why.reason)
         reg = _telemetry.active()
         if reg is not None:
             reg.counter("platform_bulk_rows_total",
@@ -922,12 +978,25 @@ class FaaSCluster:
                         ).inc(evictions)
         return True
 
-    def _store_codes(self) -> npt.NDArray[np.int32]:
-        store = self._store
-        return np.fromiter(
-            (store.code_for(w) for w in self.profiles),
-            np.int32, count=len(self.profiles),
+    def _store_codes(
+        self, codes: npt.NDArray[np.int64], words: list[str]
+    ) -> npt.NDArray[np.int32]:
+        """The record store's workload code for every slab row.  Only
+        the words that arrive are registered, in first-arrival order, so
+        the vocabulary stays in first-appearance order across the two
+        paths."""
+        n = int(codes.size)
+        first = np.full(len(words), n, np.int64)
+        np.minimum.at(first, codes, np.arange(n, dtype=np.int64))
+        present = np.flatnonzero(first < n)
+        present = present[np.argsort(first[present])]
+        code_for = self._store.code_for
+        remap = np.zeros(len(words), np.int32)
+        remap[present] = np.fromiter(
+            (code_for(words[c]) for c in present.tolist()),
+            np.int32, count=present.size,
         )
+        return remap[codes]
 
     def _node_ids(self) -> npt.NDArray[np.int64]:
         return np.fromiter(
@@ -941,12 +1010,12 @@ class FaaSCluster:
         codes: npt.NDArray[np.int64],
         node_idx: npt.NDArray[np.int64],
         mem: npt.NDArray[np.float64],
-        coldcost: npt.NDArray[np.float64],
+        start: npt.NDArray[np.float64],
         svc_req: npt.NDArray[np.float64],
         busy_cap: int | None,
         words: list[str],
         old: _BulkTail | None,
-    ) -> bool:
+    ) -> None:
         """Zero-TTL slab: every start is cold, memory frees at
         completion, no expiry events exist -- so the whole slab is one
         event calendar per node (+mem at arrival, -mem at completion,
@@ -954,13 +1023,14 @@ class FaaSCluster:
         in the reference engine's exact order.  Under a CPU model the
         completion times first come out of a sequential per-node
         run-queue replay (dilation feeds back into later dilations);
-        everything downstream of the ends stays vectorised."""
+        everything downstream of the ends stays vectorised.  Raises
+        :class:`_Fallback` if an admission would queue or a hash pick
+        would spill."""
         n = int(ts.size)
         n_nodes = len(self.nodes)
         last_t = float(ts[-1])
         seq0 = self._seq_n
         req_mem = mem[codes]
-        start = ts + coldcost[codes]
         if old is not None:
             c_end, c_seq = old.ends, old.seqs
             c_node, c_mem, c_codes = old.node_idx, old.mem_mb, old.codes
@@ -1018,7 +1088,7 @@ class FaaSCluster:
             if bool(np.any(admitted > node.memory_capacity_mb)):
                 # at least one admission would queue: scalar path owns
                 # the backlog semantics
-                return False
+                raise _Fallback("teardown")
             if busy_cap is not None:
                 busy = np.empty(hi - lo + 1, np.int64)
                 busy[0] = node.busy_count
@@ -1029,7 +1099,7 @@ class FaaSCluster:
                 ):
                     # a pick saw a full node: the scalar scheduler would
                     # have spilled, so the speculative batch is invalid
-                    return False
+                    raise _Fallback("spill")
             cut = int(np.searchsorted(s_time[lo:hi], last_t, side="right"))
             new_used[b] = usage[cut]
             final_used[b] = usage[-1]
@@ -1040,7 +1110,7 @@ class FaaSCluster:
         self._sandbox_n += n
         self._clock = last_t
         self._store.extend(
-            self._store_codes()[codes], self._node_ids()[node_idx],
+            self._store_codes(codes, words), self._node_ids()[node_idx],
             ts, start, end, cold=True, ok=True, preempt=preempt,
         )
         for b, node in enumerate(self.nodes):
@@ -1074,7 +1144,6 @@ class FaaSCluster:
             # no carry survives: every completion fired in-slab, so the
             # committed new_weight already equals the final fold
             self._tail = None
-        return True
 
     def _cpu_teardown_replay(
         self,
@@ -1280,15 +1349,17 @@ class FaaSCluster:
         codes: npt.NDArray[np.int64],
         node_idx: npt.NDArray[np.int64],
         mem: npt.NDArray[np.float64],
-        coldcost: npt.NDArray[np.float64],
+        cstart: npt.NDArray[np.float64],
         svc_req: npt.NDArray[np.float64],
         ttl: float,
         busy_cap: int | None,
         words: list[str],
         old: _BulkTail | None,
-    ) -> int | None:
+        reuse: tuple[npt.NDArray[np.int64], int] | None,
+    ) -> int:
         """Fixed positive-TTL slab: the number of LRU evictions it
-        modelled, or None if the slab must fall back to the scalar loop.
+        modelled; raises :class:`_Fallback` if the slab must fall back
+        to the scalar loop.
 
         Warm-versus-cold is first decided by replaying each ``(node,
         workload)`` idle pool in isolation -- placement is fixed up
@@ -1304,6 +1375,13 @@ class FaaSCluster:
         and every in-slab completion pushes an expiry event, so heap
         sequence numbers interleave and are assigned by a merged sort
         rather than arithmetic.
+
+        Under least-loaded placement, ``reuse`` carries the cluster-unit
+        loop's reuse sources and pool count, which replace the pool
+        replay.  Those picks assume no eviction: an eviction moves a
+        later completion, and so possibly a later pick, so a node
+        whose calendar overflows sends the whole slab back instead of
+        being replayed as a node unit.
         """
         n = int(ts.size)
         n_nodes = len(self.nodes)
@@ -1312,7 +1390,6 @@ class FaaSCluster:
         seq0 = self._seq_n
         req_mem = mem[codes]
         gid = node_idx * n_words + codes
-        cstart = ts + coldcost[codes]
 
         if old is not None:
             ob_end, ob_seq = old.ends, old.seqs
@@ -1339,7 +1416,7 @@ class FaaSCluster:
         i_gid = oi_node * n_words + oi_code
         busy = (ob_end, ob_seq, b_gid)
         idle = (oi_from, oi_order, oi_xa, i_gid)
-        reuse_src_arr, n_pools = self._pool_reuses(
+        reuse_src_arr, n_pools = reuse or self._pool_reuses(
             ts, gid, svc_req, cstart, ttl, seq0, busy, idle,
         )
         sub = np.arange(n, dtype=np.int64)
@@ -1487,24 +1564,23 @@ class FaaSCluster:
                 new_used[b] = usage[-1]
             if not over:
                 break
+            if reuse is not None:
+                raise _Fallback("cluster_memory")
             if coupled:  # pragma: no cover - the node replay is exact
-                return None
+                raise _Fallback("queueing")
             # the scalar engine evicts (or queues) on these nodes: replay
             # each as one unit, its pools coupled through its memory
-            replay = self._replay_nodes(
+            rows, src_of, ev_src, ev_row = self._replay_nodes(
                 over, ts, codes, node_idx, mem, svc_req, cstart, ttl,
                 seq0, busy, idle, (ob_node, oi_node), (ob_code, oi_code),
             )
-            if replay is None:
-                return None
-            rows, src_of, ev_src, ev_row = replay
             reuse_src_arr[rows] = src_of
 
         if busy_cap is not None and not self._bulk_busy_ok(
             ts, node_idx, comp_end[proc_idx], comp_tie[proc_idx],
             comp_node[proc_idx], seq0, busy_cap,
         ):
-            return None
+            raise _Fallback("spill")
 
         still = np.nonzero(~processed)[0]
         busy_after = np.bincount(comp_node[still], minlength=n_nodes)
@@ -1548,7 +1624,7 @@ class FaaSCluster:
         self._sandbox_n += int(a_idx.size)
         self._clock = last_t
         self._store.extend(
-            self._store_codes()[codes], self._node_ids()[node_idx],
+            self._store_codes(codes, words), self._node_ids()[node_idx],
             ts, start_vec, end_new, cold=cold_arr, ok=True,
         )
         for b, node in enumerate(self.nodes):
@@ -1753,13 +1829,103 @@ class FaaSCluster:
                 np.repeat(d_start[cx] - offs, cx_len)
                 + np.arange(int(offs[-1] + cx_len[-1]), dtype=np.int64)
             ]
-            replay = self._replay_exact(
+            reuse_src[cx_rows] = self._replay_exact(
                 cx_rows, cx_len, g_sorted[d_start[cx]], (b_gid, i_gid),
                 ts, svc_req, cstart, ttl, seq0, busy, idle, None,
-            )
-            assert replay is not None  # unbounded memory never gives up
-            reuse_src[cx_rows] = replay[0]
+            )[0]
         return reuse_src, n_pools
+
+    def _replay_cluster(
+        self,
+        ts: npt.NDArray[np.float64],
+        codes: npt.NDArray[np.int64],
+        svc_req: npt.NDArray[np.float64],
+        cstart: npt.NDArray[np.float64],
+        ttl: float,
+        n_words: int,
+        old: _BulkTail | None,
+    ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64], int]:
+        """Least-loaded picks and warm-reuse sources for a slab, in one
+        exact loop over the whole cluster: ``(node per row, reuse source
+        per row (-1 for a cold start), pools that held idle sandboxes)``.
+
+        A pick reads busy counts, which change only at admissions and
+        completions.  With a constant TTL, no CPU model and no eviction
+        (the caller's memory calendar checks that afterwards), a
+        completion time depends only on the pick and the warm/cold
+        decision, so one loop makes both.  Before each arrival the due
+        completions (``end <= t``) leave the busy heap in ``(end, seq)``
+        order, each onto its ``(node, workload)`` pool stack; the pick
+        is :meth:`LeastLoadedScheduler.pick`'s lowest-index minimum; a
+        stack top that expires after ``t`` is reused LIFO, otherwise the
+        stack has expired whole and the start is cold.  Sources are
+        numbered as in :meth:`_pool_reuses`; the loop is seeded from the
+        carry and from each node's busy count.
+        """
+        n = int(ts.size)
+        seq0 = self._seq_n
+        busy = [nd.busy_count for nd in self.nodes]
+        # heap entries: end, end-event sequence (seq0 + row is an
+        # order-preserving proxy), source, node, pool
+        heap: list[tuple[float, int, int, int, int]] = []
+        # pool stacks of (expiry, source), most recently idled last
+        stacks: dict[int, list[tuple[float, int]]] = {}
+        if old is not None:
+            nb = int(old.ends.size)
+            heap = list(zip(
+                old.ends.tolist(), old.seqs.tolist(), range(n, n + nb),
+                old.node_idx.tolist(),
+                (old.node_idx * n_words + old.codes).tolist(),
+            ))
+            heapq.heapify(heap)
+            # the carry lists idle rows by (pool, idled-at, append
+            # order), which is each stack's push order
+            nc = int(old.idle_from.size)
+            for p, xa, src in zip(
+                (old.idle_node * n_words + old.idle_codes).tolist(),
+                old.idle_xa.tolist(), range(n + nb, n + nb + nc),
+            ):
+                stacks.setdefault(p, []).append((xa, src))
+        keep = ttl > 0
+        heappush, heappop = heapq.heappush, heapq.heappop
+        node_idx = np.empty(n, np.int64)
+        reuse_src = np.empty(n, np.int64)
+        for lo in range(0, n, _LOOP_ROWS):
+            hi = min(lo + _LOOP_ROWS, n)
+            picks: list[int] = []
+            srcs: list[int] = []
+            for k, t, c, sv, cs in zip(
+                range(lo, hi), ts[lo:hi].tolist(), codes[lo:hi].tolist(),
+                svc_req[lo:hi].tolist(), cstart[lo:hi].tolist(),
+            ):
+                while heap and heap[0][0] <= t:
+                    e, _, src, b, p = heappop(heap)
+                    busy[b] -= 1
+                    if keep:
+                        st = stacks.get(p)
+                        if st is None:
+                            stacks[p] = [(e + ttl, src)]
+                        else:
+                            st.append((e + ttl, src))
+                b = busy.index(min(busy))
+                p = b * n_words + c
+                st = stacks.get(p)
+                if st and st[-1][0] > t:
+                    src = st.pop()[1]
+                    e = t + sv
+                else:
+                    if st:
+                        # one TTL: below an expired top, all has expired
+                        st.clear()
+                    src = -1
+                    e = cs + sv
+                busy[b] += 1
+                heappush(heap, (e, seq0 + k, k, b, p))
+                picks.append(b)
+                srcs.append(src)
+            node_idx[lo:hi] = picks
+            reuse_src[lo:hi] = srcs
+        return node_idx, reuse_src, len(stacks)
 
     def _bulk_busy_ok(
         self,
@@ -1934,12 +2100,12 @@ class FaaSCluster:
         npt.NDArray[np.int64],
         npt.NDArray[np.int64],
         npt.NDArray[np.int64],
-    ] | None:
+    ]:
         """Exact replay of the nodes ``over`` (ascending), each as one
         unit under its capacity and slab-start memory: ``(rows, their
         reuse sources, evicted sources, evicting rows)`` with the
-        evictions in admission order, or None if a node would queue or
-        meet an LRU tie across pools."""
+        evictions in admission order.  Raises :class:`_Fallback` if a
+        node would queue or meet an LRU tie across pools."""
         units = np.array(over, np.int64)
         in_unit = np.zeros(len(self.nodes), np.bool_)
         in_unit[units] = True
@@ -1947,16 +2113,13 @@ class FaaSCluster:
         rows = rows[_group_stable(node_idx[rows])]
         unit_len = np.bincount(node_idx[rows], minlength=len(self.nodes))
         nodes = [self.nodes[b] for b in over]
-        replay = self._replay_exact(
+        src_of, ev_src, ev_row = self._replay_exact(
             rows, unit_len[units], units, seed_nodes, ts, svc_req, cstart,
             ttl, seq0, busy, idle,
             (codes, *seed_codes, mem.tolist(),
              [nd.memory_capacity_mb for nd in nodes],
              [nd.used_memory_mb for nd in nodes]),
         )
-        if replay is None:
-            return None
-        src_of, ev_src, ev_row = replay
         eo = np.argsort(ev_row, kind="stable")
         return rows, src_of, ev_src[eo], ev_row[eo]
 
@@ -1978,7 +2141,7 @@ class FaaSCluster:
         npt.NDArray[np.int64],
         npt.NDArray[np.int64],
         npt.NDArray[np.int64],
-    ] | None:
+    ]:
         """The keep-alive path's one exact loop, unit by unit.
 
         A unit is one pool with unbounded memory (``nodes`` None: the
@@ -1991,8 +2154,9 @@ class FaaSCluster:
         from its first arrival, seeded only from the carried ``busy``
         and ``idle`` rows whose ``seed_keys`` entry equals its
         ``unit_key``.  Returns each row's warm-reuse source (-1 for a
-        cold start) and the evictions as (evicted source, evicting row),
-        or None if a node unit reaches a state this loop does not model.
+        cold start) and the evictions as (evicted source, evicting row);
+        raises :class:`_Fallback` if a node unit reaches a state this
+        loop does not model.
 
         A unit holds a busy heap keyed ``(end, seq)`` and a LIFO idle
         stack per pool.  A pool unit expires lazily: idle entries are
@@ -2008,7 +2172,7 @@ class FaaSCluster:
         engine's float order.  Memory short with nothing idle (the
         request would queue), or a victim whose idle-since equals a
         live entry of another pool (the reference engine breaks that
-        tie by dict-insertion order), gives up.
+        tie by dict-insertion order), falls back.
         """
         b_end, b_seq, _ = busy
         i_from, i_order, i_xa, _ = idle
@@ -2101,14 +2265,14 @@ class FaaSCluster:
                     while used + m > cap:
                         while fifo and reused[fifo[0][1]]:
                             popleft()
-                        if not fifo:
-                            return None  # nothing to evict: it queues
+                        if not fifo:  # nothing to evict: it queues
+                            raise _Fallback("queueing")
                         _, victim, f, vp = popleft()
                         for entry in fifo:
                             if entry[2] != f:
                                 break
                             if entry[3] != vp and not reused[entry[1]]:
-                                return None  # cross-pool LRU tie
+                                raise _Fallback("lru_tie")
                         stacks[vp].popleft()
                         used -= slot_mem[vp]
                         ev_src.append(victim)

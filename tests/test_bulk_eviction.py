@@ -67,6 +67,7 @@ class _Outcomes:
     counters of the registry active while it ran."""
 
     def __init__(self, cluster):
+        self.cluster = cluster
         self.verdicts = []
         self.registry = telemetry.MetricsRegistry()
         attempt = cluster._bulk_invoke
@@ -80,6 +81,13 @@ class _Outcomes:
 
     def total(self, name):
         return self.registry.counter(name).value
+
+    def fallbacks(self):
+        """Fallen-back slabs by reason."""
+        return {
+            m.labels["reason"]: m.value for m in self.registry.counters()
+            if m.name == "platform_bulk_fallbacks_total"
+        }
 
 
 def _run_steps(steps, make_kwargs, profiles):

@@ -27,6 +27,7 @@ from repro.platform import (
     ObjectFaaSCluster,
     PlatformTracer,
     RandomScheduler,
+    RecordColumns,
     WorkloadProfile,
 )
 from repro.platform.simcore import Node, default_cold_start_s
@@ -419,8 +420,11 @@ def test_scalar_rows_interleave_with_bulk_queueing_and_reads():
     assert any(r.start_s > r.arrival_s + 0.5 for r in records)
     cols = vec.record_columns()
     assert cols.to_records() == records
-    # the bulk slab registered the whole profile set, in profile order
-    assert cols.vocabulary == tuple(profiles)
+    # bulk and scalar rows register their words as they arrive, so the
+    # vocabulary is the records' first-appearance order
+    assert cols.vocabulary == tuple(dict.fromkeys(
+        r.workload_id for r in records
+    ))
 
 
 def test_scalar_first_vocabulary_is_first_appearance_order():
@@ -431,6 +435,32 @@ def test_scalar_first_vocabulary_is_first_appearance_order():
     cols = cluster.drain_columns()
     assert cols.vocabulary == tuple(dict.fromkeys(wids))
     assert cols.workload_ids() == wids
+
+
+@pytest.mark.parametrize("sched", ["random", "least-loaded"])
+@pytest.mark.parametrize("ttl", [0.0, 5.0])
+def test_bulk_and_scalar_vocabularies_agree(sched, ttl):
+    # four of the six profiles arrive, not in profile order
+    ts, wids = make_load(9, n=120, n_workloads=4)
+    wids = [f"w{5 - int(w[1:])}" for w in wids]
+    assert set(wids) != set(make_profiles())
+    assert list(dict.fromkeys(wids)) != sorted(set(wids))
+    kwargs = lambda: dict(  # noqa: E731
+        n_nodes=3, keepalive=FixedKeepAlive(ttl),
+        scheduler=(RandomScheduler(seed=2) if sched == "random"
+                   else LeastLoadedScheduler()),
+    )
+    bulk = FaaSCluster(make_profiles(), **kwargs())
+    outcomes = _bulk_outcomes(bulk)
+    submit(bulk, ts, wids, "chunked-50")
+    scalar = FaaSCluster(make_profiles(), **kwargs())
+    submit(scalar, ts, wids, "scalar")
+    assert outcomes == [True] * 3
+    got, want = bulk.drain_columns(), scalar.drain_columns()
+    assert got.vocabulary == want.vocabulary == tuple(dict.fromkeys(wids))
+    assert got.workload_codes.tobytes() == want.workload_codes.tobytes()
+    back = RecordColumns.from_records(got.to_records())
+    assert back.vocabulary == got.vocabulary
 
 
 # ---------------------------------------------------------------------------

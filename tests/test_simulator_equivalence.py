@@ -35,6 +35,7 @@ from repro.platform import (
     iter_trace_slabs,
     summarize,
 )
+from repro.telemetry import registry as telemetry
 
 SEEDS = (0, 1, 2)
 
@@ -386,8 +387,8 @@ def test_invoke_many_input_validation():
 # ---------------------------------------------------------------------------
 # the widened bulk envelope: keep-alive x jitter x submission x scheduler
 # ---------------------------------------------------------------------------
-#: Schedulers that keep a multi-node slab on the fast path (the rest are
-#: exercised single-node by the matrix below).
+#: Schedulers that keep a multi-node slab on the fast path: batched
+#: picks, or least-loaded picks made by the cluster-unit loop.
 BULK_SCHEDULERS = {
     "random": lambda: RandomScheduler(seed=7),
     "hash": lambda: HashAffinityScheduler(spill_threshold=64),
@@ -404,7 +405,7 @@ BULK_MODES = ("bulk", "mixed", "chunked-7", "chunked-64")
 @pytest.mark.parametrize("sched", sorted(BULK_SCHEDULERS))
 def test_bulk_envelope_matrix(seed, ka, cv, mode, sched):
     """Byte-identity across the full widened envelope, with proof that
-    every cell actually engages the vectorised path."""
+    every cell commits every row on the vectorised path."""
     keepalive = {
         "none": NoKeepAlive,
         "fixed-short": lambda: FixedKeepAlive(0.8),
@@ -412,7 +413,7 @@ def test_bulk_envelope_matrix(seed, ka, cv, mode, sched):
     }[ka]
     ts, wids = make_load(seed)
     make_kwargs = lambda: dict(  # noqa: E731
-        n_nodes=1 if sched == "least-loaded" else 3,
+        n_nodes=3,
         node_memory_mb=16384.0,
         keepalive=keepalive(),
         scheduler=BULK_SCHEDULERS[sched](),
@@ -421,11 +422,14 @@ def test_bulk_envelope_matrix(seed, ka, cv, mode, sched):
     )
     # prove the vectorised path engages for every slab of this cell
     probe = FaaSCluster(make_profiles(), **make_kwargs())
-    submit(probe, ts, wids, "bulk" if mode == "mixed" else mode)
+    reg = telemetry.MetricsRegistry()
+    with telemetry.use(reg):
+        submit(probe, ts, wids, "bulk" if mode == "mixed" else mode)
     assert probe._tail is not None and not probe._heap, (
         "bulk path did not engage; this cell would only re-test the "
         "scalar loop"
     )
+    assert reg.counter("platform_bulk_rows_total").value == len(ts)
     assert_equivalent(ts, wids, make_kwargs, mode=mode)
 
 

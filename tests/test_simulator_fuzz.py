@@ -130,6 +130,13 @@ REGRESSION_CONFIGS = [
     _cfg(seed=19, n_requests=350, horizon_s=10.0, keepalive="hybrid",
          track_memory=True, node_memory_mb=1024.0, batch="scalar",
          cores=4, cpu_policy="fair"),
+    # least-loaded on three nodes in 7-row chunks, with quantized
+    # arrivals: the cluster-unit loop makes every pick in bulk, and busy
+    # counts, ties, idle stacks and jitter cross each chunk edge
+    _cfg(seed=31, n_requests=350, n_workloads=5, horizon_s=10.0,
+         n_nodes=3, node_memory_mb=8192.0, keepalive="fixed",
+         keepalive_ttl=1.0, scheduler="least-loaded", quantize=True,
+         service_time_cv=0.6, batch="chunked", chunk_rows=7),
     # memory-pressured keep-alive slab that evicts but never queues: it
     # commits in bulk through the per-node LRU replay
     _cfg(seed=30, n_requests=300, n_workloads=7, horizon_s=30.0,
@@ -152,6 +159,15 @@ def test_pinned_eviction_tuple_commits_in_bulk():
         assert compare(cfg) is None
     assert reg.counter("platform_bulk_rows_total").value == cfg.n_requests
     assert reg.counter("platform_bulk_evictions_total").value > 0
+
+
+def test_pinned_least_loaded_tuple_commits_in_bulk():
+    cfg = next(c for c in REGRESSION_CONFIGS
+               if c.scheduler == "least-loaded")
+    reg = telemetry.MetricsRegistry()
+    with telemetry.use(reg):
+        assert compare(cfg) is None
+    assert reg.counter("platform_bulk_rows_total").value == cfg.n_requests
 
 
 def test_random_sweep_agrees():
