@@ -447,6 +447,12 @@ _NodeUnits = tuple[
     npt.NDArray[np.int64], npt.NDArray[np.int64], npt.NDArray[np.int64],
     list[float], list[float], list[float],
 ]
+#: The cluster-unit loop's decisions for a keep-alive slab: the reuse
+#: source per row, the pools that held idle sandboxes, the evicted
+#: sources and the rows that evicted them.
+_ClusterReuse = tuple[
+    npt.NDArray[np.int64], int, npt.NDArray[np.int64], npt.NDArray[np.int64],
+]
 
 #: Longest slab the bulk path commits in one piece; ``invoke_many``
 #: splits longer ones into consecutive sub-slabs of this many rows.
@@ -945,14 +951,13 @@ class FaaSCluster:
             rng_state = self._rng.bit_generator.state
             svc_req = svc_req * self._rng.lognormal(mu, sigma, n)
 
-        reuse: tuple[npt.NDArray[np.int64], int] | None = None
-        if cluster:
-            node_idx, reuse_src, n_pools = self._replay_cluster(
-                ts, codes, svc_req, cstart, ttl, len(words), old,
-            )
-            reuse = (reuse_src, n_pools)
+        reuse: _ClusterReuse | None = None
         evictions = 0
         try:
+            if cluster:
+                node_idx, reuse = self._replay_cluster(
+                    ts, codes, svc_req, cstart, ttl, mem.tolist(), old,
+                )
             if ttl > 0:
                 evictions = self._bulk_commit_keepalive(
                     ts, codes, node_idx, mem, cstart, svc_req, ttl,
@@ -1355,7 +1360,7 @@ class FaaSCluster:
         busy_cap: int | None,
         words: list[str],
         old: _BulkTail | None,
-        reuse: tuple[npt.NDArray[np.int64], int] | None,
+        reuse: _ClusterReuse | None,
     ) -> int:
         """Fixed positive-TTL slab: the number of LRU evictions it
         modelled; raises :class:`_Fallback` if the slab must fall back
@@ -1377,11 +1382,9 @@ class FaaSCluster:
         rather than arithmetic.
 
         Under least-loaded placement, ``reuse`` carries the cluster-unit
-        loop's reuse sources and pool count, which replace the pool
-        replay.  Those picks assume no eviction: an eviction moves a
-        later completion, and so possibly a later pick, so a node
-        whose calendar overflows sends the whole slab back instead of
-        being replayed as a node unit.
+        loop's reuse sources, pool count and evictions, which replace
+        the pool replay; that loop already modelled every node's memory,
+        so no node unit is replayed.
         """
         n = int(ts.size)
         n_nodes = len(self.nodes)
@@ -1416,12 +1419,16 @@ class FaaSCluster:
         i_gid = oi_node * n_words + oi_code
         busy = (ob_end, ob_seq, b_gid)
         idle = (oi_from, oi_order, oi_xa, i_gid)
-        reuse_src_arr, n_pools = reuse or self._pool_reuses(
-            ts, gid, svc_req, cstart, ttl, seq0, busy, idle,
-        )
+        # evicted source, evicting row: none until nodes are coupled,
+        # unless the cluster-unit loop modelled memory
+        if reuse is None:
+            reuse_src_arr, n_pools = self._pool_reuses(
+                ts, gid, svc_req, cstart, ttl, seq0, busy, idle,
+            )
+            ev_src, ev_row = _I0, _I0
+        else:
+            reuse_src_arr, n_pools, ev_src, ev_row = reuse
         sub = np.arange(n, dtype=np.int64)
-        # evicted source, evicting row: none until nodes are coupled
-        ev_src, ev_row = _I0, _I0
         for coupled in (False, True):
             cold_arr = reuse_src_arr < 0
             reused_arr = np.zeros(n + nb + nc, np.bool_)
@@ -1564,7 +1571,7 @@ class FaaSCluster:
                 new_used[b] = usage[-1]
             if not over:
                 break
-            if reuse is not None:
+            if reuse is not None:  # pragma: no cover - the loop is exact
                 raise _Fallback("cluster_memory")
             if coupled:  # pragma: no cover - the node replay is exact
                 raise _Fallback("queueing")
@@ -1842,51 +1849,81 @@ class FaaSCluster:
         svc_req: npt.NDArray[np.float64],
         cstart: npt.NDArray[np.float64],
         ttl: float,
-        n_words: int,
+        mem: list[float],
         old: _BulkTail | None,
-    ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64], int]:
+    ) -> tuple[npt.NDArray[np.int64], _ClusterReuse]:
         """Least-loaded picks and warm-reuse sources for a slab, in one
-        exact loop over the whole cluster: ``(node per row, reuse source
-        per row (-1 for a cold start), pools that held idle sandboxes)``.
+        exact loop over the whole cluster: the node per row, and the
+        ``reuse`` argument of :meth:`_bulk_commit_keepalive` -- the
+        reuse source per row (-1 for a cold start), the pools that held
+        idle sandboxes, and the evictions as (evicted source, evicting
+        row) in admission order.
 
         A pick reads busy counts, which change only at admissions and
-        completions.  With a constant TTL, no CPU model and no eviction
-        (the caller's memory calendar checks that afterwards), a
-        completion time depends only on the pick and the warm/cold
-        decision, so one loop makes both.  Before each arrival the due
-        completions (``end <= t``) leave the busy heap in ``(end, seq)``
-        order, each onto its ``(node, workload)`` pool stack; the pick
-        is :meth:`LeastLoadedScheduler.pick`'s lowest-index minimum; a
+        completions.  With a constant TTL and no CPU model, a completion
+        time depends only on the pick and the warm/cold decision, so one
+        loop makes both.  Before each arrival the due completions
+        (``end <= t``) leave the busy heap in ``(end, seq)`` order, each
+        onto its ``(node, workload)`` pool stack; the pick is
+        :meth:`LeastLoadedScheduler.pick`'s lowest-index minimum; a
         stack top that expires after ``t`` is reused LIFO, otherwise the
         stack has expired whole and the start is cold.  Sources are
         numbered as in :meth:`_pool_reuses`; the loop is seeded from the
         carry and from each node's busy count.
+
+        With a positive TTL the loop also keeps each node's used memory
+        (``mem`` per workload) and, as a node unit of
+        :meth:`_replay_exact` does, a FIFO of the node's idle entries
+        that shares the stacks' entry tuples.  Memory changes only at a
+        cold start and at the expiries and evictions before it, so a
+        cold start first fires its node's due expiries, oldest first,
+        and then evicts the LRU idle sandboxes while short: the same
+        float steps in the same order as the reference engine.  An
+        eviction moves a later completion and so possibly a later pick
+        on any node, which this loop sees and a node unit with fixed
+        placement cannot.  Memory short with nothing idle, or an LRU
+        victim whose expiry equals a live entry of another pool (at
+        least every idle-since tie; the reference engine breaks those by
+        dict-insertion order), raises :class:`_Fallback`.  With zero TTL
+        the teardown commit checks memory itself.
         """
         n = int(ts.size)
+        n_words = len(mem)
         seq0 = self._seq_n
-        busy = [nd.busy_count for nd in self.nodes]
+        nodes = self.nodes
+        busy = [nd.busy_count for nd in nodes]
+        used = [nd.used_memory_mb for nd in nodes]
+        cap = [nd.memory_capacity_mb for nd in nodes]
         # heap entries: end, end-event sequence (seq0 + row is an
         # order-preserving proxy), source, node, pool
         heap: list[tuple[float, int, int, int, int]] = []
-        # pool stacks of (expiry, source), most recently idled last
-        stacks: dict[int, list[tuple[float, int]]] = {}
+        # idle entries (expiry, source, pool), in a pool stack (most
+        # recently idled last) and in its node's FIFO (push order); a
+        # reused entry stays in the FIFO, flagged in ``reused``
+        stacks: dict[int, deque[tuple[float, int, int]]] = {}
+        fifos = [deque[tuple[float, int, int]]() for _ in nodes]
+        nb = nc = 0
         if old is not None:
-            nb = int(old.ends.size)
+            nb, nc = int(old.ends.size), int(old.idle_from.size)
             heap = list(zip(
                 old.ends.tolist(), old.seqs.tolist(), range(n, n + nb),
                 old.node_idx.tolist(),
                 (old.node_idx * n_words + old.codes).tolist(),
             ))
             heapq.heapify(heap)
-            # the carry lists idle rows by (pool, idled-at, append
-            # order), which is each stack's push order
-            nc = int(old.idle_from.size)
-            for p, xa, src in zip(
-                (old.idle_node * n_words + old.idle_codes).tolist(),
-                old.idle_xa.tolist(), range(n + nb, n + nb + nc),
-            ):
-                stacks.setdefault(p, []).append((xa, src))
+            # per node by (idled-at, append order): every node's FIFO
+            # order, and every stack's push order
+            sel = np.lexsort((old.idle_order, old.idle_from, old.idle_node))
+            for b, entry in zip(old.idle_node[sel].tolist(), zip(
+                old.idle_xa[sel].tolist(), (n + nb + sel).tolist(),
+                (old.idle_node * n_words + old.idle_codes)[sel].tolist(),
+            )):
+                stacks.setdefault(entry[2], deque()).append(entry)
+                fifos[b].append(entry)
         keep = ttl > 0
+        reused = bytearray(n + nb + nc)
+        ev_src: list[int] = []
+        ev_row: list[int] = []
         heappush, heappop = heapq.heappush, heapq.heappop
         node_idx = np.empty(n, np.int64)
         reuse_src = np.empty(n, np.int64)
@@ -1902,30 +1939,60 @@ class FaaSCluster:
                     e, _, src, b, p = heappop(heap)
                     busy[b] -= 1
                     if keep:
+                        entry = (e + ttl, src, p)
                         st = stacks.get(p)
                         if st is None:
-                            stacks[p] = [(e + ttl, src)]
-                        else:
-                            st.append((e + ttl, src))
+                            stacks[p] = st = deque()
+                        st.append(entry)
+                        fifos[b].append(entry)
                 b = busy.index(min(busy))
                 p = b * n_words + c
                 st = stacks.get(p)
                 if st and st[-1][0] > t:
                     src = st.pop()[1]
+                    reused[src] = 1
                     e = t + sv
                 else:
-                    if st:
-                        # one TTL: below an expired top, all has expired
-                        st.clear()
                     src = -1
                     e = cs + sv
+                    if keep:
+                        # due expiries, which also empty this pool's
+                        # stack: below an expired top, all has expired
+                        fifo = fifos[b]
+                        base = b * n_words
+                        u = used[b]
+                        while fifo and fifo[0][0] <= t:
+                            _, s, q = fifo.popleft()
+                            if not reused[s]:
+                                stacks[q].popleft()
+                                u -= mem[q - base]
+                        m = mem[c]
+                        while u + m > cap[b]:
+                            while fifo and reused[fifo[0][1]]:
+                                fifo.popleft()
+                            if not fifo:  # nothing to evict: it queues
+                                raise _Fallback("queueing")
+                            xa, victim, q = fifo.popleft()
+                            for entry in fifo:
+                                if entry[0] != xa:
+                                    break
+                                if entry[2] != q and not reused[entry[1]]:
+                                    raise _Fallback("lru_tie")
+                            stacks[q].popleft()
+                            u -= mem[q - base]
+                            ev_src.append(victim)
+                            ev_row.append(k)
+                        used[b] = u + m
                 busy[b] += 1
                 heappush(heap, (e, seq0 + k, k, b, p))
                 picks.append(b)
                 srcs.append(src)
             node_idx[lo:hi] = picks
             reuse_src[lo:hi] = srcs
-        return node_idx, reuse_src, len(stacks)
+        return node_idx, (
+            reuse_src, len(stacks),
+            np.array(ev_src, np.int64), np.array(ev_row, np.int64),
+        )
 
     def _bulk_busy_ok(
         self,

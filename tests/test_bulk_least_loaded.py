@@ -11,8 +11,10 @@ which path ran:
 - a completion exactly at an arrival, which frees its node before the
   pick;
 - slab, scalar ``invoke`` and slab again, with and without a drain;
-- a slab whose memory overflows, which falls back while the sub-slabs
-  before it stay committed;
+- memory overflow: LRU evictions modelled in the same loop, one-shot,
+  in chunks and across sub-slab edges, where an eviction moves later
+  picks; an expiry exactly at an arrival frees memory first; a
+  cross-pool LRU tie and a request that queues fall back;
 - a ``LeastLoadedScheduler`` subclass, which stays scalar.
 """
 
@@ -30,6 +32,8 @@ from repro.platform import (
 from repro.platform import simulator_vec
 
 from tests.test_bulk_eviction import _Outcomes, _run_steps
+from tests.test_bulk_eviction import _load as _skewed_load
+from tests.test_bulk_eviction import _profiles as _skewed_profiles
 from tests.test_simulator_equivalence import _observed_state
 
 
@@ -174,10 +178,9 @@ def test_slab_scalar_drain_slab_returns_to_bulk():
     assert outcomes.total("platform_bulk_rows_total") == 150 + late.size
 
 
-def test_memory_overflow_falls_back_after_committed_sub_slabs(monkeypatch):
+def test_memory_overflow_evicts_in_bulk_across_sub_slabs(monkeypatch):
     """Two 1 GiB nodes: the first 100 rows use two workloads and fit;
-    from row 100 on, ten more workloads must evict idle sandboxes, which
-    the cluster unit does not model."""
+    from row 100 on, ten more workloads must evict idle sandboxes."""
     profiles = {
         f"f{i}": WorkloadProfile(f"f{i}", runtime_ms=100.0, memory_mb=256.0)
         for i in range(12)
@@ -191,11 +194,130 @@ def test_memory_overflow_falls_back_after_committed_sub_slabs(monkeypatch):
                           n_nodes=2, node_memory_mb=1024.0)
     outcomes = _run_steps([("slab", ts, wids)], make_kwargs, profiles)
     # both nodes serve traffic; the memory ran short and nothing queued,
-    # so the reference engine evicted
+    # so the reference engine evicted, and so did the cluster unit
     assert {r.node for r in outcomes.cluster.records} == {0, 1}
-    assert outcomes.verdicts == [True, True, False]
-    assert outcomes.total("platform_bulk_rows_total") == 100
-    assert outcomes.fallbacks() == {"cluster_memory": 1}
+    assert outcomes.verdicts == [True] * 4
+    assert outcomes.total("platform_bulk_rows_total") == ts.size
+    assert outcomes.total("platform_bulk_evictions_total") > 0
+    assert outcomes.fallbacks() == {}
+
+
+def _pressured(node_memory_mb):
+    return _kwargs(keepalive=lambda: FixedKeepAlive(30.0), n_nodes=3,
+                   node_memory_mb=node_memory_mb)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mode", ["one-shot", "chunked-7", "sub-slab"])
+def test_evictions_match_oracle(seed, mode, monkeypatch):
+    ts, wids = _skewed_load(seed)
+    if mode == "chunked-7":
+        steps = [("slab", ts[lo:lo + 7], wids[lo:lo + 7])
+                 for lo in range(0, ts.size, 7)]
+    else:
+        if mode == "sub-slab":
+            # idle sandboxes and the memory they hold cross the edges
+            monkeypatch.setattr(simulator_vec, "_BULK_SLAB_ROWS", 50)
+        steps = [("slab", ts, wids)]
+    outcomes = _run_steps(steps, _pressured(1024.0), _skewed_profiles())
+    expected = -(-ts.size // 50) if mode == "sub-slab" else len(steps)
+    assert outcomes.verdicts == [True] * expected
+    assert outcomes.total("platform_bulk_rows_total") == ts.size
+    assert outcomes.total("platform_bulk_evictions_total") >= 100
+    assert outcomes.fallbacks() == {}
+
+
+def test_evictions_move_later_picks():
+    """The same load on unbounded nodes is placed differently: an
+    eviction makes a later start cold, which moves its completion and
+    so the busy counts later picks read."""
+    ts, wids = _skewed_load(0)
+    profiles = _skewed_profiles()
+    placed = []
+    for memory in (1024.0, 1e9):
+        ref = ObjectFaaSCluster(profiles, **_pressured(memory)())
+        for t, w in zip(ts.tolist(), wids):
+            ref.invoke(t, w)
+        placed.append([r.node for r in ref.drain()])
+    assert sum(a != b for a, b in zip(*placed)) > 100
+    outcomes = _run_steps([("slab", ts, wids)], _pressured(1024.0),
+                          profiles)
+    assert outcomes.verdicts == [True]
+
+
+def test_expiry_at_an_arrival_frees_memory_before_the_admission():
+    """Node 1's idle "a" expires at exactly 2.5, when "b" needs all of
+    node 1's memory: the expiry fires first, so nothing is evicted."""
+    profiles = {
+        "x": WorkloadProfile("x", runtime_ms=100_000.0, memory_mb=125.0),
+        "a": WorkloadProfile("a", runtime_ms=250.0, memory_mb=125.0),
+        "b": WorkloadProfile("b", runtime_ms=100.0, memory_mb=250.0),
+    }
+    ts = np.array([0.0, 0.0, 2.5])
+    make_kwargs = _kwargs(keepalive=lambda: FixedKeepAlive(2.0),
+                          n_nodes=2, node_memory_mb=250.0)
+    outcomes = _run_steps([("slab", ts, ["x", "a", "b"])], make_kwargs,
+                          profiles)
+    assert [(r.node, r.cold) for r in outcomes.cluster.records] == [
+        (0, True), (1, True), (1, True)]
+    assert outcomes.verdicts == [True]
+    assert outcomes.total("platform_bulk_evictions_total") == 0
+
+
+def _tied_idle_then_big(offset):
+    """Node 0 runs two long "x"; "a" and "b" both idle on node 1 at
+    0.75 (+ ``offset`` for "b"); then "c" must evict one of them."""
+    profiles = {
+        "x": WorkloadProfile("x", runtime_ms=100_000.0, memory_mb=125.0),
+        "a": WorkloadProfile("a", runtime_ms=500.0, memory_mb=125.0),
+        "b": WorkloadProfile("b", runtime_ms=250.0 + offset * 1e3,
+                             memory_mb=125.0),
+        "c": WorkloadProfile("c", runtime_ms=100.0, memory_mb=384.0),
+    }
+    ts = np.array([0.0, 0.0, 0.0, 0.25, 5.0])
+    wids = ["x", "a", "x", "b", "c"]
+    return profiles, ts, wids
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.125])
+def test_cross_pool_lru_tie_falls_back(offset):
+    profiles, ts, wids = _tied_idle_then_big(offset)
+    make_kwargs = _kwargs(keepalive=lambda: FixedKeepAlive(60.0),
+                          n_nodes=2, node_memory_mb=512.0)
+    outcomes = _run_steps([("slab", ts, wids)], make_kwargs, profiles)
+    assert [r.node for r in outcomes.cluster.records] == [0, 1, 0, 1, 1]
+    if offset == 0.0:
+        # equal idle-since in two pools: the reference engine evicts by
+        # dict-insertion order, which the loop does not model
+        assert outcomes.verdicts == [False]
+        assert outcomes.fallbacks() == {"lru_tie": 1}
+    else:
+        assert outcomes.verdicts == [True]
+        assert outcomes.total("platform_bulk_evictions_total") == 1
+
+
+def test_queueing_falls_back():
+    profiles = {
+        "big": WorkloadProfile("big", runtime_ms=2000.0, memory_mb=384.0),
+    }
+    ts = np.array([0.0, 0.1, 0.5])
+    make_kwargs = _kwargs(keepalive=lambda: FixedKeepAlive(60.0),
+                          n_nodes=2, node_memory_mb=512.0)
+    ref = ObjectFaaSCluster(profiles, **make_kwargs())
+    vec = FaaSCluster(profiles, **make_kwargs())
+    outcomes = _Outcomes(vec)
+    vec.invoke_many(ts, ["big"] * 3)
+    for t in ts.tolist():
+        ref.invoke(t, "big")
+    assert _observed_state(vec) == _observed_state(ref)
+    records = ref.drain()
+    assert vec.drain() == records
+    assert vec.clock_s == ref.clock_s
+    # the third request waits on node 0 for memory nothing idle holds
+    assert [r.start_s > r.arrival_s + 1.0 for r in records] == [
+        False, False, True]
+    assert outcomes.verdicts == [False]
+    assert outcomes.fallbacks() == {"queueing": 1}
 
 
 def test_least_loaded_subclass_stays_scalar():
